@@ -17,13 +17,13 @@
 //! the rollback fails the journal marks itself *wedged* and refuses further
 //! appends until [`Journal::reopen`] re-establishes a clean tail.
 
-use crate::crc32::crc32;
 use crate::io::{JournalFile, JournalIo, RealIo};
 use crate::record::{self, Decoded, COMMIT_MARKER};
 use crate::segment::{
     index_file_name, parse_index_name, parse_segment_name, parse_snapshot_name, segment_file_name,
     snapshot_file_name, SegmentHeader, SnapshotFormat, FORMAT_VERSION, SEGMENT_HEADER_LEN,
 };
+use semex_store::binary::crc32;
 use semex_store::{SnapshotError, Store, StoreEvent};
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -35,7 +35,6 @@
 //! ```
 #![warn(missing_docs)]
 
-mod crc32;
 pub mod export;
 pub mod io;
 pub mod journal;

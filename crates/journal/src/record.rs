@@ -6,7 +6,7 @@
 //! are all there but the checksum or length field is wrong). Recovery
 //! truncates at either; the distinction is reported for diagnostics.
 
-use crate::crc32::crc32;
+use semex_store::binary::crc32;
 
 /// Frame header size: 4-byte length + 4-byte CRC.
 pub const HEADER_LEN: usize = 8;

@@ -22,8 +22,7 @@
 //! sorting one flat `(class, hash, ref)` row table — no per-key `String`,
 //! no hash map of owned keys, no `HashSet` of pairs.
 
-use crate::refs::RefTable;
-use semex_similarity::name::PersonName;
+use crate::refs::{RefEntry, RefTable, Vocab};
 use semex_similarity::venue::for_each_venue_token;
 use semex_similarity::{lowercase_into, soundex, token_spans};
 use std::collections::HashMap;
@@ -55,7 +54,7 @@ pub fn candidate_pairs(table: &RefTable) -> Vec<(u32, u32)> {
     let mut hashes: Vec<u64> = Vec::new();
     for (i, e) in table.entries.iter().enumerate() {
         hashes.clear();
-        visit_keys(e, |ns, body| hashes.push(key_hash(ns, body)));
+        visit_keys(&table.vocab, e, |ns, body| hashes.push(key_hash(ns, body)));
         hashes.sort_unstable();
         hashes.dedup();
         for &h in &hashes {
@@ -83,29 +82,20 @@ pub fn candidate_pairs(table: &RefTable) -> Vec<(u32, u32)> {
 /// dispatched on its [`crate::RefKind`]. Bodies may point into scratch
 /// buffers that are overwritten by the next callback — hash or copy them
 /// inside the closure. [`keys_for`] is the collecting wrapper.
-pub fn visit_keys(e: &crate::RefEntry, mut visit: impl FnMut(&str, &str)) {
+pub fn visit_keys(vocab: &Vocab, e: &RefEntry, mut visit: impl FnMut(&str, &str)) {
     use crate::RefKind;
     let mut scratch = String::new();
     // Person-style: names parsed as people + e-mails.
     if e.kind == RefKind::Person {
-        // The reference table caches person-name parses at build time;
-        // hand-assembled entries fall back to parsing here.
-        let parsed_storage: Vec<PersonName>;
-        let parsed: &[PersonName] = if e.parsed_names.len() == e.names.len() {
-            &e.parsed_names
-        } else {
-            parsed_storage = e.names.iter().map(|n| PersonName::parse(n)).collect();
-            &parsed_storage
-        };
-        for p in parsed {
-            if let Some(last) = &p.last {
+        for &n in &e.names {
+            if let Some(last) = &vocab.parsed_names[n as usize].last {
                 visit("l:", last);
                 if let Some(sx) = soundex(last) {
                     visit("sx:", &sx);
                 }
             }
         }
-        for em in &e.emails {
+        for em in e.emails.iter().map(|&i| vocab.emails[i as usize].as_str()) {
             visit("e:", em);
             if let Some((local, _)) = em.split_once('@') {
                 if local.len() >= 3 {
@@ -134,7 +124,7 @@ pub fn visit_keys(e: &crate::RefEntry, mut visit: impl FnMut(&str, &str)) {
     // Publication-style: titles. The two longest tokens (by lowercased byte
     // length, earliest wins ties) and a normalized 10-char prefix.
     let mut lowered = String::new();
-    for t in &e.titles {
+    for t in e.titles.iter().map(|&i| vocab.titles[i as usize].as_str()) {
         let (mut best, mut second) = ("", "");
         let (mut best_len, mut second_len) = (0usize, 0usize);
         for tok in token_spans(t) {
@@ -171,7 +161,7 @@ pub fn visit_keys(e: &crate::RefEntry, mut visit: impl FnMut(&str, &str)) {
         e.kind,
         RefKind::Venue | RefKind::Organization | RefKind::Other
     ) {
-        for n in &e.names {
+        for n in e.names.iter().map(|&i| vocab.names[i as usize].as_str()) {
             for_each_venue_token(n, |tok| visit("vt:", tok));
             lowered.clear();
             for tok in token_spans(n) {
@@ -189,7 +179,11 @@ pub fn visit_keys(e: &crate::RefEntry, mut visit: impl FnMut(&str, &str)) {
                 visit("vt:", &lowered);
             }
         }
-        for a in &e.abbrevs {
+        for a in e
+            .abbrevs
+            .iter()
+            .map(|&i| vocab.abbrevs[i as usize].as_str())
+        {
             lowercase_into(a, &mut scratch);
             visit("vt:", &scratch);
         }
@@ -198,9 +192,9 @@ pub fn visit_keys(e: &crate::RefEntry, mut visit: impl FnMut(&str, &str)) {
 
 /// The blocking keys of one reference as owned strings — a convenience
 /// wrapper over [`visit_keys`] for diagnostics and tests.
-pub fn keys_for(e: &crate::RefEntry) -> Vec<String> {
+pub fn keys_for(vocab: &Vocab, e: &RefEntry) -> Vec<String> {
     let mut keys = Vec::new();
-    visit_keys(e, |ns, body| keys.push(format!("{ns}{body}")));
+    visit_keys(vocab, e, |ns, body| keys.push(format!("{ns}{body}")));
     keys
 }
 
@@ -313,7 +307,7 @@ mod tests {
         );
         let mut buckets: HashMap<(u16, String), Vec<u32>> = HashMap::new();
         for (i, e) in t.entries.iter().enumerate() {
-            let keys: HashSet<String> = keys_for(e).into_iter().collect();
+            let keys: HashSet<String> = keys_for(&t.vocab, e).into_iter().collect();
             for k in keys {
                 buckets.entry((e.class.0, k)).or_default().push(i as u32);
             }

@@ -2,14 +2,13 @@
 //! enrichment over blocked candidate pairs, sharded across cores.
 
 use crate::blocking::{self, BlockingStats};
-use crate::refs::{RefKind, RefTable};
-use crate::score::{organization_score, person_score, publication_score, venue_score, Pool};
+use crate::refs::RefTable;
+use crate::score::{attr_score, Pool, Verdicts};
 use crate::shard::{self, Shard};
 use crate::worklist::{run_shard, Oracle, ShardOutcome};
 use crate::{ReconConfig, UnionFind, Variant};
 use semex_model::names::assoc as an;
 use semex_store::{ObjectId, Store};
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -34,6 +33,12 @@ pub struct ReconReport {
     /// Pooled-score memo hits: re-activated candidates whose clusters had
     /// not changed, skipping pooling and attribute scoring entirely.
     pub memo_hits: usize,
+    /// Pooled attribute scores computed (reference enrichment re-scoring
+    /// a pair over its clusters' pooled values; 0 without enrichment).
+    pub pooled_scores: usize,
+    /// Pooled person comparisons answered from the shards' verdict memos
+    /// (name against name, address against name) instead of recomputed.
+    pub verdict_hits: usize,
     /// Wall-clock time of the reconciliation (excluding store mutation).
     pub elapsed: Duration,
     /// Clusters with more than one member, as store object ids.
@@ -90,6 +95,8 @@ fn run(
     let mut uf = UnionFind::new(n);
     let mut iterations = 0usize;
     let mut memo_hits = 0usize;
+    let mut pooled_scores = 0usize;
+    let mut verdict_hits = 0usize;
     let mut shard_count = 0usize;
 
     // User feedback: resolve must-link and cannot-link pairs to reference
@@ -204,6 +211,8 @@ fn run(
             for o in outcomes {
                 iterations += o.iterations;
                 memo_hits += o.memo_hits;
+                pooled_scores += o.pooled_scores;
+                verdict_hits += o.verdict_hits;
                 for cl in o.clusters {
                     for &x in &cl[1..] {
                         uf.union(cl[0] as usize, x as usize);
@@ -242,6 +251,8 @@ fn run(
         iterations,
         shards: shard_count,
         memo_hits,
+        pooled_scores,
+        verdict_hits,
         elapsed,
         clusters,
     }
@@ -262,11 +273,12 @@ impl Oracle for TableOracle<'_> {
     fn base(&self, ci: u32) -> f64 {
         self.base[ci as usize]
     }
-    fn pooled_attr(&self, ci: u32, ma: &[u32], mb: &[u32]) -> f64 {
+    fn pooled_attr(&self, verdicts: &mut Verdicts, ci: u32, ma: &[u32], mb: &[u32]) -> f64 {
         let (a, _) = self.pairs[ci as usize];
-        let pa = pooled(self.table, ma);
-        let pb = pooled(self.table, mb);
-        attr_score(self.table.entries[a as usize].kind, &pa, &pb)
+        let pa = Pool::of_members(self.table, ma);
+        let pb = Pool::of_members(self.table, mb);
+        let kind = self.table.entries[a as usize].kind;
+        attr_score(&self.table.vocab, kind, &pa, &pb, verdicts)
     }
     fn evidence(&self, a: u32, b: u32, root_of: &mut dyn FnMut(u32) -> u64) -> f64 {
         evidence_tokens(self.table, self.weights, a, b, root_of)
@@ -489,99 +501,27 @@ fn channel_weights(store: &Store) -> HashMap<u32, f64> {
     w
 }
 
-/// Pool the attribute values of a cluster's members (capped per field so a
-/// runaway cluster cannot make scoring quadratic).
-fn pooled<'a>(table: &'a RefTable, members: &[u32]) -> Pool<'a> {
-    const CAP: usize = 12;
-    let mut p = Pool::default();
-    for &m in members {
-        let e = &table.entries[m as usize];
-        // Non-person kinds have no parse cache; keep the vectors parallel
-        // for persons and names-only for everything else.
-        if e.parsed_names.len() == e.names.len() {
-            for (v, parsed) in e.names.iter().zip(&e.parsed_names) {
-                if p.names.len() < CAP {
-                    p.names.push(v.as_str());
-                    p.parsed_names.push(parsed);
-                }
-            }
-        } else {
-            for v in &e.names {
-                if p.names.len() < CAP {
-                    p.names.push(v.as_str());
-                }
-            }
-        }
-        for v in &e.emails {
-            if p.emails.len() < CAP {
-                p.emails.push(v.as_str());
-            }
-        }
-        for v in &e.titles {
-            if p.titles.len() < CAP {
-                p.titles.push(v.as_str());
-            }
-        }
-        for v in &e.abbrevs {
-            if p.abbrevs.len() < CAP {
-                p.abbrevs.push(v.as_str());
-            }
-        }
-        for &y in &e.years {
-            if p.years.len() < CAP {
-                p.years.to_mut().push(y);
-            }
-        }
-    }
-    p
-}
-
-/// Singleton pool of one reference — every field borrows from the table.
-fn singleton<'a>(table: &'a RefTable, i: u32) -> Pool<'a> {
-    let e = &table.entries[i as usize];
-    Pool {
-        names: e.names.iter().map(String::as_str).collect(),
-        parsed_names: e.parsed_names.iter().collect(),
-        emails: e.emails.iter().map(String::as_str).collect(),
-        titles: e.titles.iter().map(String::as_str).collect(),
-        abbrevs: e.abbrevs.iter().map(String::as_str).collect(),
-        years: Cow::Borrowed(e.years.as_slice()),
-    }
-}
-
-/// Dispatch the per-class comparator.
-fn attr_score(kind: RefKind, a: &Pool<'_>, b: &Pool<'_>) -> f64 {
-    match kind {
-        RefKind::Person => person_score(a, b),
-        RefKind::Publication => publication_score(a, b),
-        RefKind::Venue => venue_score(a, b),
-        RefKind::Organization | RefKind::Other => organization_score(a, b),
-    }
-}
-
 /// Score all candidate pairs over singleton pools, optionally in parallel.
 fn score_pairs(table: &RefTable, pairs: &[(u32, u32)], threads: usize) -> Vec<f64> {
-    if pairs.is_empty() {
-        return Vec::new();
-    }
-    let score_one = |&(a, b): &(u32, u32)| -> f64 {
-        let pa = singleton(table, a);
-        let pb = singleton(table, b);
-        attr_score(table.entries[a as usize].kind, &pa, &pb)
+    // Each worker keeps its own verdict memo for the chunk it scores.
+    let score_all = |work: &[(u32, u32)], out: &mut [f64]| {
+        let mut verdicts = Verdicts::default();
+        for (o, &(a, b)) in out.iter_mut().zip(work) {
+            let (ea, eb) = (&table.entries[a as usize], &table.entries[b as usize]);
+            let (pa, pb) = (Pool::of(ea), Pool::of(eb));
+            *o = attr_score(&table.vocab, ea.kind, &pa, &pb, &mut verdicts);
+        }
     };
+    let mut out = vec![0.0; pairs.len()];
     if threads <= 1 || pairs.len() < 512 {
-        return pairs.iter().map(score_one).collect();
+        score_all(pairs, &mut out);
+        return out;
     }
     let chunk = pairs.len().div_ceil(threads);
-    let mut out = vec![0.0; pairs.len()];
     std::thread::scope(|s| {
-        let score_one = &score_one;
+        let score_all = &score_all;
         for (slot, work) in out.chunks_mut(chunk).zip(pairs.chunks(chunk)) {
-            s.spawn(move || {
-                for (o, p) in slot.iter_mut().zip(work) {
-                    *o = score_one(p);
-                }
-            });
+            s.spawn(move || score_all(work, slot));
         }
     });
     out
@@ -805,10 +745,15 @@ mod tests {
             r.shards >= 2,
             "disjoint families shard independently: {r:?}"
         );
+        assert!(
+            r.pooled_scores >= 1,
+            "enrichment re-scores over pools: {r:?}"
+        );
         let mut st2 = store_with(bib, "", "");
         let attr = reconcile(&mut st2, Variant::AttrOnly, &ReconConfig::sequential());
         assert_eq!(attr.shards, 0, "non-propagating variants do not shard");
         assert_eq!(attr.memo_hits, 0);
+        assert_eq!((attr.pooled_scores, attr.verdict_hits), (0, 0));
     }
 
     #[test]

@@ -71,6 +71,6 @@ mod worklist;
 pub use config::{ReconConfig, Variant};
 pub use engine::{reconcile, reconcile_incremental, ReconReport};
 pub use eval::{pair_metrics, Metrics};
-pub use refs::{RefEntry, RefKind, RefTable};
+pub use refs::{ParsedEmail, RefEntry, RefKind, RefTable, Vocab};
 pub use shard::{partition, Shard};
 pub use union_find::UnionFind;

@@ -2,6 +2,8 @@
 
 use semex_model::names::{attr, class};
 use semex_model::{AttrId, ClassId};
+use semex_similarity::email::EmailAddr;
+use semex_similarity::name::PersonName;
 use semex_store::{ObjectId, Store};
 use std::collections::HashMap;
 
@@ -24,7 +26,8 @@ pub enum RefKind {
 }
 
 /// Cached attribute values of one reference (one pre-reconciliation store
-/// object of a reconcilable class).
+/// object of a reconcilable class). Strings are ids into the table's
+/// [`Vocab`], one per extracted value, in store order.
 #[derive(Debug, Clone, Default)]
 pub struct RefEntry {
     /// The store object this entry mirrors.
@@ -33,17 +36,14 @@ pub struct RefEntry {
     pub class: ClassId,
     /// Comparator dispatch kind derived from the class name.
     pub kind: RefKind,
-    /// `name` values, as extracted.
-    pub names: Vec<String>,
-    /// Person-name parses of `names` (parallel), computed once at table
-    /// build so hot scoring loops never re-parse.
-    pub parsed_names: Vec<semex_similarity::name::PersonName>,
-    /// `email` values, lowercased.
-    pub emails: Vec<String>,
-    /// `title` values.
-    pub titles: Vec<String>,
-    /// `abbreviation` values.
-    pub abbrevs: Vec<String>,
+    /// `name` values ([`Vocab::names`] ids).
+    pub names: Vec<u32>,
+    /// `email` values, lowercased ([`Vocab::emails`] ids).
+    pub emails: Vec<u32>,
+    /// `title` values ([`Vocab::titles`] ids).
+    pub titles: Vec<u32>,
+    /// `abbreviation` values ([`Vocab::abbrevs`] ids).
+    pub abbrevs: Vec<u32>,
     /// `year` values.
     pub years: Vec<i64>,
     /// Evidence neighbours, grouped by channel (see [`RefTable`]): each
@@ -51,6 +51,92 @@ pub struct RefEntry {
     /// one association, or over one association *through* a structural
     /// object (sender-of-same-thread style evidence).
     pub neighbors: Vec<(u32, Vec<u32>)>,
+}
+
+/// The distinct attribute strings of a reference table, each stored and
+/// parsed once. Ids are dense per field, in first-seen order.
+#[derive(Debug, Clone, Default)]
+pub struct Vocab {
+    /// Distinct `name` values.
+    pub names: Vec<String>,
+    /// Person-name parse of each name (parallel to `names`).
+    pub parsed_names: Vec<PersonName>,
+    /// Distinct lowercased `email` values.
+    pub emails: Vec<String>,
+    /// Parse of each address (parallel to `emails`); `None` when it is not
+    /// an address.
+    pub addrs: Vec<Option<ParsedEmail>>,
+    /// Distinct `title` values.
+    pub titles: Vec<String>,
+    /// Distinct `abbreviation` values.
+    pub abbrevs: Vec<String>,
+}
+
+/// A parsed address with the local-part form that names are matched
+/// against ([`EmailAddr::name_form`]).
+#[derive(Debug, Clone)]
+pub struct ParsedEmail {
+    /// The normalized address.
+    pub addr: EmailAddr,
+    /// Its alphanumeric local part.
+    pub name_form: String,
+}
+
+/// Builds a [`Vocab`]: interns strings per field, then parses the distinct
+/// names and addresses once in [`VocabBuilder::finish`].
+#[derive(Debug, Default)]
+pub(crate) struct VocabBuilder {
+    vocab: Vocab,
+    ids: [HashMap<String, u32>; 4],
+}
+
+impl VocabBuilder {
+    /// Id of a `name` value.
+    pub fn name(&mut self, s: &str) -> u32 {
+        intern(&mut self.ids[0], &mut self.vocab.names, s)
+    }
+
+    /// Id of an `email` value, taken as given (the table lowercases first).
+    pub fn email(&mut self, s: &str) -> u32 {
+        intern(&mut self.ids[1], &mut self.vocab.emails, s)
+    }
+
+    /// Id of a `title` value.
+    pub fn title(&mut self, s: &str) -> u32 {
+        intern(&mut self.ids[2], &mut self.vocab.titles, s)
+    }
+
+    /// Id of an `abbreviation` value.
+    pub fn abbrev(&mut self, s: &str) -> u32 {
+        intern(&mut self.ids[3], &mut self.vocab.abbrevs, s)
+    }
+
+    /// Parse every distinct name and address and hand back the vocabulary.
+    pub fn finish(self) -> Vocab {
+        let mut v = self.vocab;
+        v.parsed_names = v.names.iter().map(|n| PersonName::parse(n)).collect();
+        v.addrs = v
+            .emails
+            .iter()
+            .map(|e| {
+                EmailAddr::parse(e).map(|addr| ParsedEmail {
+                    name_form: addr.name_form(),
+                    addr,
+                })
+            })
+            .collect();
+        v
+    }
+}
+
+fn intern(ids: &mut HashMap<String, u32>, strs: &mut Vec<String>, s: &str) -> u32 {
+    if let Some(&id) = ids.get(s) {
+        return id;
+    }
+    let id = strs.len() as u32;
+    strs.push(s.to_owned());
+    ids.insert(s.to_owned(), id);
+    id
 }
 
 impl RefEntry {
@@ -82,6 +168,8 @@ pub struct RefTable {
     pub entries: Vec<RefEntry>,
     /// Map store object → entry index.
     pub index_of: HashMap<ObjectId, u32>,
+    /// The entries' attribute strings.
+    pub vocab: Vocab,
 }
 
 /// Channel id for a direct association: `assoc * 2 + dir` (dir 0 =
@@ -110,6 +198,7 @@ impl RefTable {
 
         let mut entries: Vec<RefEntry> = Vec::new();
         let mut index_of: HashMap<ObjectId, u32> = HashMap::new();
+        let mut vocab = VocabBuilder::default();
         for (class_id, def) in model.classes() {
             if !def.reconcilable {
                 continue;
@@ -123,30 +212,19 @@ impl RefTable {
             };
             for obj in store.objects_of_class(class_id) {
                 let o = store.object(obj);
+                let strs = |attr: Option<AttrId>| attr.into_iter().flat_map(|a| o.strs(a));
                 let mut e = RefEntry {
                     obj,
                     class: class_id,
                     kind,
                     ..Default::default()
                 };
-                let collect_strs = |attr: Option<AttrId>| -> Vec<String> {
-                    attr.map(|a| o.strs(a).map(str::to_owned).collect())
-                        .unwrap_or_default()
-                };
-                e.names = collect_strs(a_name);
-                if kind == RefKind::Person {
-                    e.parsed_names = e
-                        .names
-                        .iter()
-                        .map(|n| semex_similarity::name::PersonName::parse(n))
-                        .collect();
-                }
-                e.emails = collect_strs(a_email)
-                    .into_iter()
-                    .map(|s| s.to_lowercase())
+                e.names = strs(a_name).map(|s| vocab.name(s)).collect();
+                e.emails = strs(a_email)
+                    .map(|s| vocab.email(&s.to_lowercase()))
                     .collect();
-                e.titles = collect_strs(a_title);
-                e.abbrevs = collect_strs(a_abbr);
+                e.titles = strs(a_title).map(|s| vocab.title(s)).collect();
+                e.abbrevs = strs(a_abbr).map(|s| vocab.abbrev(s)).collect();
                 if let Some(a) = a_year {
                     e.years = o.values(a).filter_map(|v| v.as_int()).collect();
                 }
@@ -211,7 +289,11 @@ impl RefTable {
             entries[i].neighbors = list;
         }
 
-        RefTable { entries, index_of }
+        RefTable {
+            entries,
+            index_of,
+            vocab: vocab.finish(),
+        }
     }
 
     /// Number of references.
@@ -331,7 +413,7 @@ mod tests {
         let pubs: Vec<u32> = t.of_class(c_pub).collect();
         assert_eq!(pubs.len(), 2);
         let e = &t.entries[pubs[0] as usize];
-        assert!(e.titles[0].starts_with("Semantic Desktop Search"));
+        assert!(t.vocab.titles[e.titles[0] as usize].starts_with("Semantic Desktop Search"));
         assert_eq!(e.years, vec![2005]);
     }
 

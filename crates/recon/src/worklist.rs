@@ -15,6 +15,7 @@
 //! performed — and a parallel run over the same shards is byte-identical to
 //! the sequential one, because shards share no state at all.
 
+use crate::score::Verdicts;
 use crate::shard::Shard;
 use crate::UnionFind;
 use std::collections::{HashMap, VecDeque};
@@ -30,8 +31,9 @@ pub(crate) trait Oracle {
     /// Singleton-pool attribute score of candidate `ci` (global index).
     fn base(&self, ci: u32) -> f64;
     /// Pooled attribute score of candidate `ci` over the two clusters'
-    /// member lists (global reference indices, in merge order).
-    fn pooled_attr(&self, ci: u32, ma: &[u32], mb: &[u32]) -> f64;
+    /// member lists (global reference indices, in merge order). `verdicts`
+    /// is the shard's memo, kept across calls and dropped with the shard.
+    fn pooled_attr(&self, verdicts: &mut Verdicts, ci: u32, ma: &[u32], mb: &[u32]) -> f64;
     /// Association evidence for the pair `(a, b)` under the clustering
     /// described by `root_of`.
     fn evidence(&self, a: u32, b: u32, root_of: &mut dyn FnMut(u32) -> u64) -> f64;
@@ -51,6 +53,10 @@ pub(crate) struct ShardOutcome {
     pub iterations: usize,
     /// Pooled-score memo hits (evaluations that skipped pooling + scoring).
     pub memo_hits: usize,
+    /// Pooled attribute scores computed.
+    pub pooled_scores: usize,
+    /// Verdict-memo hits inside those scores.
+    pub verdict_hits: usize,
     /// Multi-member clusters, as ascending global reference indices.
     pub clusters: Vec<Vec<u32>>,
 }
@@ -151,6 +157,8 @@ pub(crate) fn run_shard<O: Oracle>(
     let cap = k.saturating_mul(64).max(1024);
     let mut iterations = 0usize;
     let mut memo_hits = 0usize;
+    let mut pooled_scores = 0usize;
+    let mut verdicts = Verdicts::default();
 
     while let Some(qi) = queue.pop_front() {
         let qi = qi as usize;
@@ -181,7 +189,8 @@ pub(crate) fn run_shard<O: Oracle>(
                     s
                 }
                 _ => {
-                    let s = oracle.pooled_attr(ci, &members[ra], &members[rb]);
+                    pooled_scores += 1;
+                    let s = oracle.pooled_attr(&mut verdicts, ci, &members[ra], &members[rb]);
                     memo[qi] = Some((key.0, key.1, key.2, key.3, s));
                     s
                 }
@@ -246,6 +255,8 @@ pub(crate) fn run_shard<O: Oracle>(
     ShardOutcome {
         iterations,
         memo_hits,
+        pooled_scores,
+        verdict_hits: verdicts.hits,
         clusters,
     }
 }
@@ -283,7 +294,7 @@ mod tests {
         fn base(&self, ci: u32) -> f64 {
             self.base[ci as usize]
         }
-        fn pooled_attr(&self, ci: u32, _ma: &[u32], _mb: &[u32]) -> f64 {
+        fn pooled_attr(&self, _: &mut Verdicts, ci: u32, _ma: &[u32], _mb: &[u32]) -> f64 {
             self.base[ci as usize]
         }
         fn evidence(&self, a: u32, b: u32, root_of: &mut dyn FnMut(u32) -> u64) -> f64 {

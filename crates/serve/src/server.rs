@@ -415,6 +415,7 @@ fn serve_pool(
     let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(config.conn_queue.max(1));
     let conn_rx = Arc::new(Mutex::new(conn_rx));
 
+    let path_threads = path_threads();
     let mut workers = Vec::with_capacity(config.threads.max(1));
     for i in 0..config.threads.max(1) {
         let ctx = WorkerCtx {
@@ -426,6 +427,7 @@ fn serve_pool(
             read_timeout: config.read_timeout,
             write_timeout: config.write_timeout,
             role: config.role.clone(),
+            path_threads,
         };
         workers.push(
             thread::Builder::new()
@@ -497,6 +499,7 @@ struct WorkerCtx {
     read_timeout: Duration,
     write_timeout: Duration,
     role: Option<Arc<ReplicaRole>>,
+    path_threads: usize,
 }
 
 fn worker_loop(ctx: WorkerCtx) {
@@ -722,7 +725,7 @@ fn execute(ctx: &WorkerCtx, frame: &RequestFrame) -> Reply {
             // the encoded payload.
             Reply::Encoded(cache.get_or_compute(key, || {
                 Arc::new(
-                    execute_read(&at, request, None)
+                    execute_read(&at, request, None, ctx.path_threads)
                         .to_json()
                         .encode()
                         .into_bytes(),
@@ -734,7 +737,7 @@ fn execute(ctx: &WorkerCtx, frame: &RequestFrame) -> Reply {
                 (Some(cache), Request::Stats) => Some(wire_cache_stats(cache.stats_for(name))),
                 _ => None,
             };
-            execute_read(&at, request, cache_stats).into()
+            execute_read(&at, request, cache_stats, ctx.path_threads).into()
         }
     }
 }
@@ -806,11 +809,13 @@ fn top1(snap: &semex_core::Snapshot, query: &str) -> Option<semex_core::SearchRe
 /// answer comes from the same snapshot — store lookups, index scores, and
 /// the reported `epoch` can never mix publication states. `cache_stats`
 /// is this tenant's live cache counters, attached to the `Stats` answer
-/// on cache-enabled servers.
+/// on cache-enabled servers. `path_threads` is the frontier-expansion
+/// thread count for path queries (see [`path_threads`]).
 fn execute_read(
     at: &EpochSnapshot,
     request: &Request,
     cache_stats: Option<CacheStatsWire>,
+    path_threads: usize,
 ) -> Response {
     let (epoch, snap) = (at.epoch, &at.snap);
     match request {
@@ -860,7 +865,9 @@ fn execute_read(
             },
             Err(e) => invalid_query(format!("bad pattern query: {e}")),
         },
-        Request::PathQuery { path, page, cursor } => path_query(at, path, *page, cursor.as_deref()),
+        Request::PathQuery { path, page, cursor } => {
+            path_query(at, path, *page, cursor.as_deref(), path_threads)
+        }
         Request::View { query } => match top1(snap, query) {
             Some(hit) => Response::View {
                 epoch,
@@ -905,7 +912,13 @@ fn execute_read(
 /// `invalid_query`; a cursor minted at a different epoch answers
 /// `expired_cursor` — both keep the connection open, so a client can fix
 /// the query (or restart the cursor) on the same socket.
-fn path_query(at: &EpochSnapshot, path: &str, page: usize, cursor: Option<&str>) -> Response {
+fn path_query(
+    at: &EpochSnapshot,
+    path: &str,
+    page: usize,
+    cursor: Option<&str>,
+    threads: usize,
+) -> Response {
     let (epoch, snap) = (at.epoch, &at.snap);
     let store = snap.store();
     let plan = match semex_query::parse::parse(store, path) {
@@ -920,7 +933,7 @@ fn path_query(at: &EpochSnapshot, path: &str, page: usize, cursor: Option<&str>)
         },
     };
     let cfg = ExecConfig {
-        threads: path_threads(),
+        threads,
         ..ExecConfig::default()
     };
     match run_page(
@@ -960,7 +973,8 @@ fn path_query(at: &EpochSnapshot, path: &str, page: usize, cursor: Option<&str>)
 /// Threads for one path query's frontier expansion. Results are identical
 /// at any count, so this only trades latency against worker contention; a
 /// small cap keeps one giant query from monopolizing the machine under
-/// concurrent load.
+/// concurrent load. Reading the core count can mean reading cgroup files,
+/// so the server asks once at start-up, not per query.
 fn path_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())

@@ -42,6 +42,30 @@ impl EmailAddr {
     pub fn canonical(&self) -> String {
         format!("{}@{}", self.local, self.domain)
     }
+
+    /// Similarity of two parsed addresses in `[0, 1]` (see
+    /// [`email_similarity`]).
+    pub fn similarity(&self, other: &EmailAddr) -> f64 {
+        if self == other {
+            return 1.0;
+        }
+        if self.local == other.local {
+            return 0.8;
+        }
+        if self.domain == other.domain {
+            let jw = jaro_winkler(&self.local, &other.local);
+            if jw >= 0.85 {
+                return 0.7 * jw;
+            }
+        }
+        0.0
+    }
+
+    /// The local part with every non-alphanumeric character removed: the
+    /// form [`name_form_matches`] compares against a person name.
+    pub fn name_form(&self) -> String {
+        self.local.chars().filter(|c| c.is_alphanumeric()).collect()
+    }
 }
 
 /// Similarity of two address strings in `[0, 1]`.
@@ -51,22 +75,10 @@ impl EmailAddr {
 /// the same domain score by local-part Jaro–Winkler, scaled to at most 0.7;
 /// everything else scores 0.
 pub fn email_similarity(a: &str, b: &str) -> f64 {
-    let (Some(ea), Some(eb)) = (EmailAddr::parse(a), EmailAddr::parse(b)) else {
-        return 0.0;
-    };
-    if ea == eb {
-        return 1.0;
+    match (EmailAddr::parse(a), EmailAddr::parse(b)) {
+        (Some(ea), Some(eb)) => ea.similarity(&eb),
+        _ => 0.0,
     }
-    if ea.local == eb.local {
-        return 0.8;
-    }
-    if ea.domain == eb.domain {
-        let jw = jaro_winkler(&ea.local, &eb.local);
-        if jw >= 0.85 {
-            return 0.7 * jw;
-        }
-    }
-    0.0
 }
 
 /// Whether an address's local part is plausibly derived from a person name:
@@ -78,42 +90,98 @@ pub fn email_matches_name(addr: &str, name: &str) -> bool {
 /// [`email_matches_name`] against an already-parsed name (hot loops parse
 /// names once and reuse them).
 pub fn email_matches_parsed_name(addr: &str, n: &PersonName) -> bool {
-    let Some(e) = EmailAddr::parse(addr) else {
-        return false;
-    };
-    let local: String = e.local.chars().filter(|c| c.is_alphanumeric()).collect();
+    EmailAddr::parse(addr).is_some_and(|e| name_form_matches(&e.name_form(), n))
+}
+
+/// [`email_matches_parsed_name`] over an address already reduced to its
+/// [`EmailAddr::name_form`]. The local part matches when it spells one of
+/// `first last`, `last first`, `f last`, `first l`, `f m… last`, `last` or
+/// `first` run together (at least 3 bytes), or contains a family or given
+/// name of at least 4 bytes. Allocates nothing.
+pub fn name_form_matches(local: &str, n: &PersonName) -> bool {
     if local.is_empty() {
         return false;
     }
-    let first = n.first.clone().unwrap_or_default();
-    let last = n.last.clone().unwrap_or_default();
+    let first = n.first.as_deref().unwrap_or("");
+    let last = n.last.as_deref().unwrap_or("");
     if first.is_empty() && last.is_empty() {
         return false;
     }
-    let fi: String = first.chars().take(1).collect();
-    let li: String = last.chars().take(1).collect();
-    let mid: String = n.middle.iter().filter_map(|m| m.chars().next()).collect();
-    let candidates = [
-        format!("{first}{last}"),
-        format!("{last}{first}"),
-        format!("{fi}{last}"),
-        format!("{first}{li}"),
-        format!("{fi}{mid}{last}"),
-        last.clone(),
-        first.clone(),
-    ];
-    candidates
-        .iter()
-        .filter(|c| c.len() >= 3)
-        .any(|c| *c == local)
-        || (!last.is_empty() && last.len() >= 4 && local.contains(&last))
-        || (!first.is_empty() && first.len() >= 4 && local.contains(&first))
+    let (fi, li) = (initial(first), initial(last));
+    let spelt = local.len() >= 3
+        && (spells(local, [first, last])
+            || spells(local, [last, first])
+            || spells(local, [fi, last])
+            || spells(local, [first, li])
+            || spells(
+                local,
+                std::iter::once(fi)
+                    .chain(n.middle.iter().map(|m| initial(m)))
+                    .chain(std::iter::once(last)),
+            )
+            || local == last
+            || local == first);
+    spelt
+        || (last.len() >= 4 && local.contains(last))
+        || (first.len() >= 4 && local.contains(first))
+}
+
+/// The first character of `s`, as a slice of it (empty for `""`).
+fn initial(s: &str) -> &str {
+    &s[..s.chars().next().map_or(0, char::len_utf8)]
+}
+
+/// Whether `s` is exactly `parts` run together.
+fn spells<'p>(s: &str, parts: impl IntoIterator<Item = &'p str>) -> bool {
+    let mut rest = s;
+    for p in parts {
+        match rest.strip_prefix(p) {
+            Some(r) => rest = r,
+            None => return false,
+        }
+    }
+    rest.is_empty()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Reference matcher: every candidate local part spelt out with
+    /// `format!`. [`name_form_matches`] must agree with it everywhere.
+    fn matches_by_formatting(addr: &str, n: &PersonName) -> bool {
+        let Some(e) = EmailAddr::parse(addr) else {
+            return false;
+        };
+        let local: String = e.local.chars().filter(|c| c.is_alphanumeric()).collect();
+        if local.is_empty() {
+            return false;
+        }
+        let first = n.first.clone().unwrap_or_default();
+        let last = n.last.clone().unwrap_or_default();
+        if first.is_empty() && last.is_empty() {
+            return false;
+        }
+        let fi: String = first.chars().take(1).collect();
+        let li: String = last.chars().take(1).collect();
+        let mid: String = n.middle.iter().filter_map(|m| m.chars().next()).collect();
+        let candidates = [
+            format!("{first}{last}"),
+            format!("{last}{first}"),
+            format!("{fi}{last}"),
+            format!("{first}{li}"),
+            format!("{fi}{mid}{last}"),
+            last.clone(),
+            first.clone(),
+        ];
+        candidates
+            .iter()
+            .filter(|c| c.len() >= 3)
+            .any(|c| *c == local)
+            || (!last.is_empty() && last.len() >= 4 && local.contains(&last))
+            || (!first.is_empty() && first.len() >= 4 && local.contains(&first))
+    }
 
     #[test]
     fn parse_normalizes() {
@@ -159,6 +227,44 @@ mod tests {
         #[test]
         fn parse_never_panics(s in ".{0,30}") {
             let _ = EmailAddr::parse(&s);
+        }
+
+        #[test]
+        fn matcher_agrees_with_formatting_oracle(
+            local in "[a-zé.]{0,12}",
+            (first, has_first) in ("[a-zé]{0,7}", any::<bool>()),
+            middle in prop::collection::vec("[a-zé]{0,3}", 0..3),
+            (last, has_last) in ("[a-zé]{0,9}", any::<bool>()),
+        ) {
+            let n = PersonName {
+                first: has_first.then_some(first),
+                middle,
+                last: has_last.then_some(last),
+            };
+            // Local parts built from the name's own pieces exercise the
+            // spelt-out forms, which random strings almost never hit.
+            let f = n.first.clone().unwrap_or_default();
+            let l = n.last.clone().unwrap_or_default();
+            let fi: String = f.chars().take(1).collect();
+            let li: String = l.chars().take(1).collect();
+            let mid: String = n.middle.iter().filter_map(|m| m.chars().next()).collect();
+            let built = [
+                format!("{f}.{l}"),
+                format!("{l}{f}"),
+                format!("{fi}{l}"),
+                format!("{f}{li}"),
+                format!("{fi}{mid}{l}"),
+                format!("x{l}"),
+                format!("{f}x"),
+            ];
+            for local in std::iter::once(local).chain(built) {
+                let addr = format!("{local}@x.edu");
+                prop_assert_eq!(
+                    email_matches_parsed_name(&addr, &n),
+                    matches_by_formatting(&addr, &n),
+                    "{} vs {:?}", addr, n
+                );
+            }
         }
 
         #[test]

@@ -132,7 +132,8 @@ impl std::error::Error for BinaryError {}
 
 // ---------------------------------------------------------------- crc32 --
 
-/// The reflected IEEE polynomial (same CRC the journal uses for records).
+/// The reflected IEEE polynomial. The journal checksums its records and
+/// manifests with this same function.
 const POLY: u32 = 0xEDB8_8320;
 
 /// Slice-by-8 lookup tables: `TABLES[0]` is the classic byte-at-a-time
@@ -1297,6 +1298,44 @@ mod tests {
         }
         for v in [0i64, -1, 1, i64::MIN, i64::MAX, -123456] {
             assert_eq!(unzigzag(zigzag(v)), v);
+        }
+    }
+
+    #[test]
+    fn crc32_known_vectors() {
+        // The standard CRC-32 check value.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+    }
+
+    #[test]
+    fn crc32_sensitive_to_single_bit_flips() {
+        let base = crc32(b"semex journal record");
+        let mut flipped = b"semex journal record".to_vec();
+        flipped[7] ^= 0x01;
+        assert_ne!(crc32(&flipped), base);
+    }
+
+    #[test]
+    fn crc32_sliced_path_matches_byte_at_a_time() {
+        // Cross-check every length 0..64 so the 8-byte fast path and the
+        // remainder loop agree with the reference definition.
+        let reference = |bytes: &[u8]| -> u32 {
+            let mut crc = 0xFFFF_FFFFu32;
+            for &b in bytes {
+                crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+            }
+            !crc
+        };
+        let data: Vec<u8> = (0..64u8)
+            .map(|i| i.wrapping_mul(37).wrapping_add(11))
+            .collect();
+        for len in 0..=data.len() {
+            assert_eq!(crc32(&data[..len]), reference(&data[..len]), "len {len}");
         }
     }
 }

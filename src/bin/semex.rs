@@ -367,8 +367,8 @@ fn print_build(semex: &Semex) {
     }
     if let Some(r) = &report.recon {
         println!(
-            "reconciled {} references: {} merges in {:.1?}",
-            r.refs, r.merges, r.elapsed
+            "reconciled {} references: {} merges in {:.1?} ({} pooled scores, {} verdict hits)",
+            r.refs, r.merges, r.elapsed, r.pooled_scores, r.verdict_hits
         );
     }
     println!(
