@@ -1,9 +1,9 @@
-//! Criterion bench for epoch snapshots: encode/decode latency of the JSON
-//! and binary on-disk formats, and full cold-open latency (recover + index)
-//! through both paths. The binary numbers back E15's cold-start claims.
+//! Criterion bench for epoch snapshots: encode/decode latency of the
+//! binary on-disk image, and full cold-open latency (recover + index
+//! sidecar restore). The numbers back E15's cold-start claims.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use semex_core::{JournalConfig, Semex, SemexBuilder, SemexConfig, SnapshotFormat};
+use semex_core::{JournalConfig, Semex, SemexBuilder, SemexConfig};
 use semex_corpus::{generate_personal, CorpusConfig};
 use semex_model::names::{attr, class};
 use semex_model::Value;
@@ -39,9 +39,6 @@ fn bench_encode(c: &mut Criterion) {
     for n in [1_000usize, 5_000] {
         let st = synthetic_store(n);
         group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::new("json", n), &st, |b, st| {
-            b.iter(|| st.to_json().unwrap().len())
-        });
         group.bench_with_input(BenchmarkId::new("binary", n), &st, |b, st| {
             b.iter(|| st.to_binary().unwrap().len())
         });
@@ -53,12 +50,8 @@ fn bench_decode(c: &mut Criterion) {
     let mut group = c.benchmark_group("snapshot_decode");
     for n in [1_000usize, 5_000] {
         let st = synthetic_store(n);
-        let json = st.to_json().unwrap();
         let bin = st.to_binary().unwrap();
         group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::new("json", n), &json, |b, json| {
-            b.iter(|| Store::from_json(json).unwrap().slot_count())
-        });
         group.bench_with_input(BenchmarkId::new("binary", n), &bin, |b, bin| {
             b.iter(|| Store::from_binary(bin).unwrap().slot_count())
         });
@@ -67,13 +60,12 @@ fn bench_decode(c: &mut Criterion) {
 }
 
 /// Cold open end to end: recover the store from its epoch snapshot and
-/// stand up the keyword index — rebuild on the JSON path, sidecar restore
-/// on the binary path. This is the tenant-reactivation latency.
+/// restore the keyword index from its sidecar. This is the
+/// tenant-reactivation latency.
 fn bench_cold_open(c: &mut Criterion) {
     let mut group = c.benchmark_group("cold_open");
     group.sample_size(10);
 
-    // One journal directory per format, seeded with the same built space.
     let corpus = generate_personal(&CorpusConfig::tiny(2005));
     let corpus_dir = scratch("corpus");
     corpus.write_to(&corpus_dir).unwrap();
@@ -82,33 +74,21 @@ fn bench_cold_open(c: &mut Criterion) {
         .build()
         .unwrap();
     std::fs::remove_dir_all(&corpus_dir).ok();
-    let snap = scratch("seed-snapshot");
-    semex.save(&snap).unwrap();
 
-    let mut dirs = Vec::new();
-    for format in [SnapshotFormat::Json, SnapshotFormat::Binary] {
-        let cfg = JournalConfig {
-            fsync: false,
-            snapshot_format: format,
-            ..JournalConfig::default()
-        };
-        let dir = scratch(&format!("open-{}", format.extension()));
-        // Seed each dir with the identical built space.
-        let built = Semex::load(&snap, SemexConfig::default()).unwrap();
-        built.into_durable(&dir, cfg.clone()).unwrap();
-        group.bench_function(BenchmarkId::from_parameter(format.extension()), |b| {
-            b.iter(|| {
-                let (d, _) =
-                    Semex::open_durable_with(&dir, SemexConfig::default(), cfg.clone()).unwrap();
-                d.store().object_count()
-            })
-        });
-        dirs.push(dir);
-    }
-    for dir in dirs {
-        std::fs::remove_dir_all(&dir).ok();
-    }
-    std::fs::remove_file(&snap).ok();
+    let cfg = JournalConfig {
+        fsync: false,
+        ..JournalConfig::default()
+    };
+    let dir = scratch("open");
+    semex.into_durable(&dir, cfg.clone()).unwrap();
+    group.bench_function("binary", |b| {
+        b.iter(|| {
+            let (d, _) =
+                Semex::open_durable_with(&dir, SemexConfig::default(), cfg.clone()).unwrap();
+            d.store().object_count()
+        })
+    });
+    std::fs::remove_dir_all(&dir).ok();
     group.finish();
 }
 

@@ -1860,10 +1860,10 @@ fn e14_tenants(smoke: bool) {
 }
 
 fn e15_snapshot(smoke: bool) {
-    use semex_core::{JournalConfig, Semex, SemexBuilder, SemexConfig, SnapshotFormat};
+    use semex_core::{JournalConfig, Semex, SemexBuilder, SemexConfig};
 
     let mode = if smoke { "smoke" } else { "full" };
-    println!("## E15 — binary snapshots: cold-open latency and memory, JSON vs binary ({mode})\n");
+    println!("## E15 — binary snapshots: cold-open latency and memory ({mode})\n");
 
     let scales: &[(&str, f64)] = if smoke {
         &[("small", 0.25)]
@@ -1895,13 +1895,11 @@ fn e15_snapshot(smoke: bool) {
 
     let mut table = TextTable::new(&[
         "scale",
-        "format",
         "disk bytes",
         "open p50 ms",
         "open p99 ms",
         "peak MiB",
         "resident MiB",
-        "speedup",
     ]);
     let mut records = Vec::new();
     for &(label, scale) in scales {
@@ -1915,104 +1913,71 @@ fn e15_snapshot(smoke: bool) {
             .expect("build the platform");
         std::fs::remove_dir_all(&corpus_dir).ok();
         let objects = semex.stats().objects;
-        let snap = scratch.join(format!("{label}.snapshot"));
-        semex.save(&snap).expect("seed snapshot");
-        drop(semex);
+        let expected = answers(&semex);
 
-        // Seed one journal directory per format with the identical space.
-        let mut per_format = Vec::new();
-        for format in [SnapshotFormat::Json, SnapshotFormat::Binary] {
-            let journal = JournalConfig {
-                fsync: false,
-                snapshot_format: format,
-                ..JournalConfig::default()
-            };
-            let dir = scratch.join(format!("{label}-{}", format.extension()));
-            Semex::load(&snap, SemexConfig::default())
-                .expect("reload seed")
-                .into_durable(&dir, journal.clone())
-                .expect("seed journal dir");
+        let journal = JournalConfig {
+            fsync: false,
+            ..JournalConfig::default()
+        };
+        let dir = scratch.join(label);
+        semex
+            .into_durable(&dir, journal.clone())
+            .expect("seed journal dir");
 
-            // On-disk footprint: snapshot plus (for binary) the sidecar.
-            let disk_bytes: u64 = std::fs::read_dir(&dir)
-                .expect("journal dir")
-                .filter_map(|e| e.ok())
-                .filter(|e| {
-                    let name = e.file_name();
-                    let name = name.to_str().unwrap_or("");
-                    name.contains("snapshot-") || name.ends_with(".idx")
-                })
-                .filter_map(|e| e.metadata().ok())
-                .map(|m| m.len())
-                .sum();
+        // On-disk footprint: snapshot plus the index sidecar.
+        let disk_bytes: u64 = std::fs::read_dir(&dir)
+            .expect("journal dir")
+            .filter_map(|e| e.ok())
+            .filter(|e| {
+                let name = e.file_name();
+                let name = name.to_str().unwrap_or("");
+                name.contains("snapshot-") || name.ends_with(".idx")
+            })
+            .filter_map(|e| e.metadata().ok())
+            .map(|m| m.len())
+            .sum();
 
-            let mut opens_ms = Vec::with_capacity(iterations);
-            let mut peaks = Vec::with_capacity(iterations);
-            let mut residents = Vec::with_capacity(iterations);
-            let mut sample = None;
-            for _ in 0..iterations {
-                let live_before = alloc_meter::live();
-                alloc_meter::reset_peak();
-                let t0 = Instant::now();
-                let (open, report) =
-                    Semex::open_durable_with(&dir, SemexConfig::default(), journal.clone())
-                        .expect("cold open");
-                opens_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-                assert!(report.damage.is_none(), "clean space: {report:?}");
-                peaks.push(alloc_meter::peak().saturating_sub(live_before));
-                residents.push(alloc_meter::live().saturating_sub(live_before));
-                sample = Some(answers(&open));
-            }
-            opens_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            per_format.push((
-                format,
-                disk_bytes,
-                opens_ms,
-                *peaks.iter().max().unwrap(),
-                *residents.iter().max().unwrap(),
-                sample.unwrap(),
-            ));
+        let mut opens_ms = Vec::with_capacity(iterations);
+        let mut peaks = Vec::with_capacity(iterations);
+        let mut residents = Vec::with_capacity(iterations);
+        for _ in 0..iterations {
+            let live_before = alloc_meter::live();
+            alloc_meter::reset_peak();
+            let t0 = Instant::now();
+            let (open, report) =
+                Semex::open_durable_with(&dir, SemexConfig::default(), journal.clone())
+                    .expect("cold open");
+            opens_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+            assert!(report.damage.is_none(), "clean space: {report:?}");
+            peaks.push(alloc_meter::peak().saturating_sub(live_before));
+            residents.push(alloc_meter::live().saturating_sub(live_before));
+            // The reopened space answers byte-identically to the built one.
+            assert_eq!(
+                answers(&open),
+                expected,
+                "cold-open answers diverged at scale {label}"
+            );
         }
-        std::fs::remove_file(&snap).ok();
-
-        // Dual-read equivalence: the binary space answers every query
-        // byte-identically to the JSON space it was seeded from.
-        assert_eq!(
-            per_format[0].5, per_format[1].5,
-            "binary answers diverged from JSON at scale {label}"
-        );
-
-        let json_p50 = pct(&per_format[0].2, 0.5);
-        let bin_p50 = pct(&per_format[1].2, 0.5);
-        let speedup = json_p50 / bin_p50;
-        for (format, disk_bytes, opens_ms, peak, resident, _) in &per_format {
-            let binary = matches!(format, SnapshotFormat::Binary);
-            table.row(vec![
-                label.to_string(),
-                format.extension().to_string(),
-                disk_bytes.to_string(),
-                format!("{:.2}", pct(opens_ms, 0.5)),
-                format!("{:.2}", pct(opens_ms, 0.99)),
-                format!("{:.1}", *peak as f64 / (1024.0 * 1024.0)),
-                format!("{:.1}", *resident as f64 / (1024.0 * 1024.0)),
-                if binary {
-                    format!("{speedup:.1}x")
-                } else {
-                    "1.0x".to_string()
-                },
-            ]);
-            records.push(serde_json::json!({
-                "scale": label,
-                "objects": objects,
-                "format": format.extension(),
-                "disk_bytes": *disk_bytes,
-                "cold_open_p50_ms": pct(opens_ms, 0.5),
-                "cold_open_p99_ms": pct(opens_ms, 0.99),
-                "peak_transient_bytes": *peak,
-                "resident_bytes": *resident,
-                "cold_open_speedup_p50": if binary { speedup } else { 1.0 },
-            }));
-        }
+        opens_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let peak = *peaks.iter().max().unwrap();
+        let resident = *residents.iter().max().unwrap();
+        table.row(vec![
+            label.to_string(),
+            disk_bytes.to_string(),
+            format!("{:.2}", pct(&opens_ms, 0.5)),
+            format!("{:.2}", pct(&opens_ms, 0.99)),
+            format!("{:.1}", peak as f64 / (1024.0 * 1024.0)),
+            format!("{:.1}", resident as f64 / (1024.0 * 1024.0)),
+        ]);
+        records.push(serde_json::json!({
+            "scale": label,
+            "objects": objects,
+            "disk_bytes": disk_bytes,
+            "cold_open_p50_ms": pct(&opens_ms, 0.5),
+            "cold_open_p99_ms": pct(&opens_ms, 0.99),
+            "peak_transient_bytes": peak,
+            "resident_bytes": resident,
+        }));
     }
     println!("{}", table.render());
     println!(
@@ -2033,7 +1998,7 @@ fn e15_snapshot(smoke: bool) {
     } else {
         println!(
             "wrote BENCH_snapshot.json ({mode}, {} rows)\n",
-            scales.len() * 2
+            scales.len()
         );
     }
 }

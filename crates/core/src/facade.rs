@@ -6,8 +6,7 @@ use semex_extract::csv::{parse_csv, Table};
 use semex_index::SearchIndex;
 use semex_integrate::{import, ImportReport, SchemaMatcher};
 use semex_journal::{
-    CompactionReport, DurableStore, Journal, JournalConfig, JournalError, JournalIo,
-    RecoveryReport, SnapshotFormat,
+    CompactionReport, DurableStore, Journal, JournalConfig, JournalError, JournalIo, RecoveryReport,
 };
 use semex_store::{ObjectId, SnapshotError, Store, StoreEvent, StoreStats};
 use std::fmt;
@@ -616,10 +615,6 @@ impl Semex {
         journal: &Journal,
         report: &RecoveryReport,
     ) -> Option<(SearchIndex, bool)> {
-        if journal.config().snapshot_format != SnapshotFormat::Binary {
-            // The JSON gate keeps the original full-rebuild path.
-            return None;
-        }
         let bytes = journal.read_index_sidecar().ok()??;
         let sidecar = SearchIndex::from_sidecar(&bytes).ok()?;
         if sidecar.epoch != report.epoch || sidecar.seq < report.base_seq {
@@ -833,9 +828,8 @@ impl DurableSemex {
     }
 
     /// Commit, then fold the whole journal into a new snapshot and delete
-    /// the old epoch's files. Under the binary snapshot format the keyword
-    /// index is also persisted as the new epoch's sidecar, so the next
-    /// open skips the rebuild.
+    /// the old epoch's files. The keyword index is also persisted as the
+    /// new epoch's sidecar, so the next open skips the rebuild.
     pub fn compact(&mut self) -> Result<CompactionReport, JournalError> {
         self.commit()?;
         let report = self.journal.compact(&self.semex.store)?;
@@ -844,13 +838,10 @@ impl DurableSemex {
     }
 
     /// Persist the current keyword index as the epoch's binary sidecar.
-    /// Best-effort and binary-format only: the sidecar is advisory (any
-    /// damage just costs the next open a rebuild), so failures are
-    /// swallowed rather than failing the commit path that triggered it.
+    /// Best-effort: the sidecar is advisory (any damage just costs the
+    /// next open a rebuild), so failures are swallowed rather than failing
+    /// the commit path that triggered it.
     fn refresh_index_sidecar(&self) {
-        if self.journal.config().snapshot_format != SnapshotFormat::Binary {
-            return;
-        }
         // Stamp the position the index actually reflects. The index has
         // folded every journaled event in (callers flush first), so that
         // is the journal's next sequence number.

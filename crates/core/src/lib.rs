@@ -37,6 +37,4 @@ mod pipeline;
 
 pub use facade::{DurableSemex, ObjectView, SearchResult, Semex, Snapshot};
 pub use pipeline::{BuildReport, SemexBuilder, SemexConfig, SemexError, SourceSpec};
-pub use semex_journal::{
-    CompactionReport, JournalConfig, JournalError, RecoveryReport, SnapshotFormat,
-};
+pub use semex_journal::{CompactionReport, JournalConfig, JournalError, RecoveryReport};

@@ -1,7 +1,7 @@
 //! The binary index sidecar format: a persisted search index image that
 //! lets a durable open skip the full rebuild.
 //!
-//! A sidecar is written next to a binary snapshot and is *advisory*: it
+//! A sidecar is written next to each journal snapshot and is *advisory*: it
 //! records the `(epoch, seq)` of the store state it was built from, and a
 //! loader uses it only when those match the recovered journal position
 //! exactly (any journal tail is then folded in with

@@ -23,11 +23,10 @@
 //!   so exporting never perturbs fault-injection op counts.
 
 use crate::io::{JournalIo, RealIo};
-use crate::journal::{read_snapshot, write_snapshot, JournalError};
+use crate::journal::{inventory, read_snapshot, write_snapshot, Inventory, JournalError};
 use crate::record::{self, Decoded, COMMIT_MARKER};
 use crate::segment::{
-    parse_segment_name, parse_snapshot_name, segment_file_name, snapshot_file_name, SegmentHeader,
-    SnapshotFormat, SEGMENT_HEADER_LEN,
+    parse_segment_name, parse_snapshot_name, segment_file_name, SegmentHeader, SEGMENT_HEADER_LEN,
 };
 use semex_store::{Store, StoreEvent};
 use std::collections::HashMap;
@@ -102,21 +101,13 @@ fn export_inner(
     force_snapshot: bool,
 ) -> Result<JournalTail, JournalError> {
     // Inventory, exactly like recovery — but nothing is cleaned up.
-    let mut snapshots: Vec<(u64, SnapshotFormat)> = Vec::new();
-    let mut segments: Vec<(u64, u64)> = Vec::new();
-    for (name, _) in io.list_dir(dir).map_err(|e| JournalError::io(dir, e))? {
-        if let Some(key) = parse_snapshot_name(&name) {
-            snapshots.push(key);
-        } else if let Some(key) = parse_segment_name(&name) {
-            segments.push(key);
-        }
-    }
-    snapshots.sort_by_key(|&(epoch, format)| {
-        (std::cmp::Reverse(epoch), format != SnapshotFormat::Binary)
-    });
+    let Inventory {
+        snapshots,
+        segments,
+    } = inventory(io, dir)?;
     let mut chosen = None;
     for &(epoch, format) in &snapshots {
-        let path = dir.join(snapshot_file_name(epoch, format));
+        let path = dir.join(format.file_name(epoch));
         match read_snapshot(io, &path, format) {
             Ok((meta, store)) if meta.epoch == epoch => {
                 chosen = Some((epoch, meta.seq, store));
@@ -219,9 +210,8 @@ fn export_inner(
 /// primary's snapshot state. Refuses a directory that already holds a
 /// journal — bootstrap never overwrites local durable state.
 ///
-/// The image is written as a JSON-format snapshot regardless of how the
-/// primary stores its own (the wire carries the store as JSON); the
-/// follower migrates to its configured format at its next compaction.
+/// The image is written as a binary snapshot, like every snapshot this
+/// build writes; only the wire carries the store as JSON.
 pub fn install_snapshot(dir: &Path, base_seq: u64, store: &Store) -> Result<(), JournalError> {
     let io = RealIo;
     io.create_dir_all(dir)
@@ -238,7 +228,7 @@ pub fn install_snapshot(dir: &Path, base_seq: u64, store: &Store) -> Result<(), 
     }
     // Epoch 1 distinguishes a shipped image from a locally-initialized
     // epoch-0 journal; recovery simply picks the newest epoch.
-    write_snapshot(&io, dir, 1, base_seq, store, true, SnapshotFormat::Json)
+    write_snapshot(&io, dir, 1, base_seq, store, true)
 }
 
 /// Name of the per-follower ack-cursor file inside a primary's journal

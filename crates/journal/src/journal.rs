@@ -25,7 +25,7 @@ use crate::segment::{
 };
 use semex_store::binary::crc32;
 use semex_store::{SnapshotError, Store, StoreEvent};
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -161,10 +161,6 @@ pub struct JournalConfig {
     /// Base delay of the exponential backoff between retries (doubled per
     /// attempt). Zero disables sleeping, which tests use.
     pub retry_backoff: Duration,
-    /// On-disk format new snapshots are written in. Both formats are
-    /// always *read*; a space migrates to the configured format at its
-    /// next compaction.
-    pub snapshot_format: SnapshotFormat,
 }
 
 impl Default for JournalConfig {
@@ -174,7 +170,6 @@ impl Default for JournalConfig {
             fsync: true,
             max_retries: 3,
             retry_backoff: Duration::from_millis(1),
-            snapshot_format: SnapshotFormat::Json,
         }
     }
 }
@@ -255,9 +250,9 @@ pub struct CompactionReport {
     pub removed_bytes: u64,
 }
 
-/// First line of a snapshot file: journal bookkeeping for the store
-/// snapshot that follows on the second line.
-#[derive(Debug, Serialize, Deserialize)]
+/// Journal bookkeeping for a snapshot's store image: the fields of the
+/// binary header, or the first line of a legacy JSON snapshot.
+#[derive(Debug, Deserialize)]
 pub(crate) struct SnapshotMeta {
     /// Journal format version.
     journal_version: u32,
@@ -298,6 +293,8 @@ pub struct Journal {
     config: JournalConfig,
     io: Arc<dyn JournalIo>,
     epoch: u64,
+    /// Sequence number the current epoch's snapshot was taken at.
+    base_seq: u64,
     next_seq: u64,
     next_segment_index: u64,
     current: Option<OpenSegment>,
@@ -433,7 +430,6 @@ impl Journal {
                 self.next_seq,
                 store,
                 self.config.fsync,
-                self.config.snapshot_format,
             ) {
                 Ok(()) => break,
                 Err(e) if e.is_transient() && attempt < self.config.max_retries => {
@@ -444,9 +440,10 @@ impl Journal {
                 Err(e) => return Err(e),
             }
         }
-        let folded = self.count_current_epoch_events();
+        let folded = self.next_seq - self.base_seq;
         let (removed_files, removed_bytes) = self.remove_stale_epochs(new_epoch);
         self.epoch = new_epoch;
+        self.base_seq = self.next_seq;
         self.next_segment_index = 0;
         self.current = None;
         Ok(CompactionReport {
@@ -491,20 +488,6 @@ impl Journal {
             }
         }
         (count, bytes)
-    }
-
-    fn count_current_epoch_events(&self) -> u64 {
-        // next_seq minus the base of the current snapshot; read it back
-        // lazily (compaction is rare). The snapshot may be in either
-        // format — the configured one is only guaranteed from the next
-        // compaction on.
-        for format in [SnapshotFormat::Binary, SnapshotFormat::Json] {
-            let path = self.dir.join(snapshot_file_name(self.epoch, format));
-            if let Ok(meta) = read_snapshot_meta(self.io.as_ref(), &path, format) {
-                return self.next_seq.saturating_sub(meta.seq);
-            }
-        }
-        0
     }
 
     /// One attempt at appending the payload batch plus its commit marker.
@@ -788,7 +771,8 @@ pub(crate) fn write_file_atomic(
     Ok(())
 }
 
-/// Atomically write the `epoch` snapshot of `store` in the given format.
+/// Atomically write the `epoch` snapshot of `store`: the binary journal
+/// header, then the store's `SEMEXSNP` image.
 pub(crate) fn write_snapshot(
     io: &dyn JournalIo,
     dir: &Path,
@@ -796,35 +780,17 @@ pub(crate) fn write_snapshot(
     seq: u64,
     store: &Store,
     fsync: bool,
-    format: SnapshotFormat,
 ) -> Result<(), JournalError> {
     let meta = SnapshotMeta {
         journal_version: FORMAT_VERSION,
         epoch,
         seq,
     };
-    let contents: Vec<u8> = match format {
-        SnapshotFormat::Json => {
-            let mut s = serde_json::to_string(&meta)?;
-            s.push('\n');
-            s.push_str(&store.to_json()?);
-            s.into_bytes()
-        }
-        SnapshotFormat::Binary => {
-            let image = store.to_binary()?;
-            let mut bytes = Vec::with_capacity(BIN_SNAPSHOT_HEADER + image.len());
-            bytes.extend_from_slice(&encode_bin_snapshot_header(&meta));
-            bytes.extend_from_slice(&image);
-            bytes
-        }
-    };
-    write_file_atomic(
-        io,
-        dir,
-        &snapshot_file_name(epoch, format),
-        &contents,
-        fsync,
-    )
+    let image = store.to_binary()?;
+    let mut bytes = Vec::with_capacity(BIN_SNAPSHOT_HEADER + image.len());
+    bytes.extend_from_slice(&encode_bin_snapshot_header(&meta));
+    bytes.extend_from_slice(&image);
+    write_file_atomic(io, dir, &snapshot_file_name(epoch), &bytes, fsync)
 }
 
 /// Read a whole file as UTF-8.
@@ -834,25 +800,6 @@ fn read_utf8(io: &dyn JournalIo, path: &Path) -> Result<String, JournalError> {
         dir: path.parent().unwrap_or(Path::new("")).to_path_buf(),
         reason: format!("snapshot {} is not valid UTF-8", path.display()),
     })
-}
-
-/// Read just the meta of a snapshot file.
-fn read_snapshot_meta(
-    io: &dyn JournalIo,
-    path: &Path,
-    format: SnapshotFormat,
-) -> Result<SnapshotMeta, JournalError> {
-    match format {
-        SnapshotFormat::Json => {
-            let contents = read_utf8(io, path)?;
-            let meta_line = contents.lines().next().unwrap_or("");
-            Ok(serde_json::from_str(meta_line)?)
-        }
-        SnapshotFormat::Binary => {
-            let bytes = io.read(path).map_err(|e| JournalError::io(path, e))?;
-            decode_bin_snapshot_header(&bytes, path)
-        }
-    }
 }
 
 /// Load a snapshot file: journal meta, then the store image.
@@ -961,16 +908,10 @@ fn recover_inner(
     io.create_dir_all(dir)
         .map_err(|e| JournalError::io(dir, e))?;
 
-    // Inventory the directory.
-    let mut snapshots: Vec<(u64, SnapshotFormat)> = Vec::new();
-    let mut segments: Vec<(u64, u64)> = Vec::new();
-    for (name, _) in io.list_dir(dir).map_err(|e| JournalError::io(dir, e))? {
-        if let Some(key) = parse_snapshot_name(&name) {
-            snapshots.push(key);
-        } else if let Some(key) = parse_segment_name(&name) {
-            segments.push(key);
-        }
-    }
+    let Inventory {
+        snapshots,
+        segments,
+    } = inventory(io.as_ref(), dir)?;
 
     if snapshots.is_empty() {
         if !segments.is_empty() {
@@ -981,20 +922,13 @@ fn recover_inner(
         }
         // Fresh directory: initialize epoch 0.
         let store = initial.unwrap_or_else(Store::with_builtin_model);
-        write_snapshot(
-            io.as_ref(),
-            dir,
-            0,
-            0,
-            &store,
-            config.fsync,
-            config.snapshot_format,
-        )?;
+        write_snapshot(io.as_ref(), dir, 0, 0, &store, config.fsync)?;
         let journal = Journal {
             dir: dir.to_path_buf(),
             config,
             io,
             epoch: 0,
+            base_seq: 0,
             next_seq: 0,
             next_segment_index: 0,
             current: None,
@@ -1014,19 +948,15 @@ fn recover_inner(
         return Ok((store, journal, report));
     }
 
-    // Newest epoch first; within an epoch prefer the binary image (the
-    // format a migrating compaction writes last). A snapshot with typed
-    // damage — torn section, bad CRC, truncated offset table — falls back
-    // to the next candidate; the damaged file is removed so segments of
-    // its epoch are not replayed onto the wrong base. Hard I/O errors
-    // propagate: they would affect every candidate alike.
-    snapshots.sort_by_key(|&(epoch, format)| {
-        (std::cmp::Reverse(epoch), format != SnapshotFormat::Binary)
-    });
+    // Try the snapshots in inventory order. A snapshot with typed damage —
+    // torn section, bad CRC, truncated offset table — falls back to the
+    // next candidate; the damaged file is removed so segments of its epoch
+    // are not replayed onto the wrong base. Hard I/O errors propagate: they
+    // would affect every candidate alike.
     let mut fallback_warnings: Vec<String> = Vec::new();
     let mut chosen: Option<(u64, SnapshotFormat, SnapshotMeta, Store)> = None;
     for &(epoch, format) in &snapshots {
-        let path = dir.join(snapshot_file_name(epoch, format));
+        let path = dir.join(format.file_name(epoch));
         match read_snapshot(io.as_ref(), &path, format) {
             Ok((meta, store)) if meta.epoch == epoch => {
                 chosen = Some((epoch, format, meta, store));
@@ -1074,7 +1004,7 @@ fn recover_inner(
     // are ignored by replay either way.
     for &(e, f) in &snapshots {
         if e < epoch || (e == epoch && f != format) {
-            let path = dir.join(snapshot_file_name(e, f));
+            let path = dir.join(f.file_name(e));
             if let Err(err) = io.remove_file(&path) {
                 if err.kind() != std::io::ErrorKind::NotFound {
                     report.warnings.push(format!(
@@ -1269,6 +1199,7 @@ fn recover_inner(
         config,
         io,
         epoch,
+        base_seq: meta.seq,
         next_seq: committed_seq,
         next_segment_index,
         current: None,
@@ -1276,6 +1207,35 @@ fn recover_inner(
         retries: 0,
     };
     Ok((store, journal, report))
+}
+
+/// The snapshot and segment files of a journal directory, by name.
+pub(crate) struct Inventory {
+    /// `(epoch, format)`, newest epoch first and, within an epoch, the
+    /// binary image before a legacy JSON one (the format a migrating
+    /// compaction writes last).
+    pub(crate) snapshots: Vec<(u64, SnapshotFormat)>,
+    /// `(epoch, index)`, in directory order.
+    pub(crate) segments: Vec<(u64, u64)>,
+}
+
+/// List a journal directory.
+pub(crate) fn inventory(io: &dyn JournalIo, dir: &Path) -> Result<Inventory, JournalError> {
+    let mut inv = Inventory {
+        snapshots: Vec::new(),
+        segments: Vec::new(),
+    };
+    for (name, _) in io.list_dir(dir).map_err(|e| JournalError::io(dir, e))? {
+        if let Some(key) = parse_snapshot_name(&name) {
+            inv.snapshots.push(key);
+        } else if let Some(key) = parse_segment_name(&name) {
+            inv.segments.push(key);
+        }
+    }
+    inv.snapshots.sort_by_key(|&(epoch, format)| {
+        (std::cmp::Reverse(epoch), format != SnapshotFormat::Binary)
+    });
+    Ok(inv)
 }
 
 /// Delete the given segment indexes of an epoch, collecting failures as

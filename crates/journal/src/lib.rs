@@ -50,7 +50,6 @@ pub use journal::{
     recover, recover_or_adopt, recover_or_adopt_with_io, recover_with_io, CompactionReport, Damage,
     DamageKind, ErrorClass, Journal, JournalConfig, JournalError, RecoveryReport,
 };
-pub use segment::SnapshotFormat;
 
 use semex_store::{Store, StoreEvent};
 use std::path::Path;

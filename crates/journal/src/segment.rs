@@ -5,7 +5,8 @@
 //!
 //! ```text
 //! space/
-//!   snapshot-0000000003.json      epoch-3 snapshot (meta line + store JSON)
+//!   snapshot-0000000003.bin       epoch-3 snapshot (header + SEMEXSNP image)
+//!   index-0000000003.idx          epoch-3 search-index sidecar (advisory)
 //!   wal-0000000003-0000000000.log epoch-3 segments, in index order
 //!   wal-0000000003-0000000001.log
 //! ```
@@ -85,14 +86,14 @@ pub fn parse_segment_name(name: &str) -> Option<(u64, u64)> {
 
 /// On-disk encoding of an epoch snapshot.
 ///
-/// Both formats are read transparently on recovery (the directory is
-/// inventoried by file name); the configured format decides what new
-/// snapshots are written in, so a space migrates at its next compaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SnapshotFormat {
+/// New snapshots are always [`Binary`](SnapshotFormat::Binary). A legacy
+/// [`Json`](SnapshotFormat::Json) snapshot is still read on recovery and
+/// export, so an old space opens as before and turns binary at its next
+/// compaction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SnapshotFormat {
     /// Line-oriented JSON: a meta line, then the store's JSON snapshot.
-    /// The original format, kept alive behind this gate.
-    #[default]
+    /// Read only.
     Json,
     /// Versioned little-endian binary image (`semex_store::binary`) behind
     /// a fixed journal header; opened lazily and CRC-verified per section.
@@ -100,22 +101,23 @@ pub enum SnapshotFormat {
 }
 
 impl SnapshotFormat {
-    /// The file extension this format uses.
-    pub fn extension(&self) -> &'static str {
-        match self {
+    /// File name of the `epoch` snapshot in this format.
+    pub(crate) fn file_name(self, epoch: u64) -> String {
+        let extension = match self {
             SnapshotFormat::Json => "json",
             SnapshotFormat::Binary => "bin",
-        }
+        };
+        format!("snapshot-{epoch:010}.{extension}")
     }
 }
 
-/// File name of the `epoch` snapshot in the given format.
-pub fn snapshot_file_name(epoch: u64, format: SnapshotFormat) -> String {
-    format!("snapshot-{epoch:010}.{}", format.extension())
+/// File name of the `epoch` snapshot, as this build writes it.
+pub fn snapshot_file_name(epoch: u64) -> String {
+    SnapshotFormat::Binary.file_name(epoch)
 }
 
 /// Parse the epoch and format out of a snapshot file name.
-pub fn parse_snapshot_name(name: &str) -> Option<(u64, SnapshotFormat)> {
+pub(crate) fn parse_snapshot_name(name: &str) -> Option<(u64, SnapshotFormat)> {
     let rest = name.strip_prefix("snapshot-")?;
     let (epoch, format) = if let Some(e) = rest.strip_suffix(".json") {
         (e, SnapshotFormat::Json)
@@ -130,8 +132,8 @@ pub fn parse_snapshot_name(name: &str) -> Option<(u64, SnapshotFormat)> {
     Some((epoch.parse().ok()?, format))
 }
 
-/// File name of the `epoch` search-index sidecar (written next to binary
-/// snapshots so a durable open can skip the index rebuild).
+/// File name of the `epoch` search-index sidecar (written next to the
+/// snapshot so a durable open can skip the index rebuild).
 pub fn index_file_name(epoch: u64) -> String {
     format!("index-{epoch:010}.idx")
 }
@@ -159,13 +161,10 @@ mod tests {
         assert_eq!(parse_segment_name("wal-3-12.log"), None);
         assert_eq!(parse_segment_name("snapshot-0000000003.json"), None);
         assert_eq!(
-            snapshot_file_name(0, SnapshotFormat::Json),
+            SnapshotFormat::Json.file_name(0),
             "snapshot-0000000000.json"
         );
-        assert_eq!(
-            snapshot_file_name(0, SnapshotFormat::Binary),
-            "snapshot-0000000000.bin"
-        );
+        assert_eq!(snapshot_file_name(0), "snapshot-0000000000.bin");
         assert_eq!(
             parse_snapshot_name("snapshot-0000000007.json"),
             Some((7, SnapshotFormat::Json))

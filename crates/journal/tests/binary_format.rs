@@ -1,8 +1,10 @@
 //! Integration tests for binary-format snapshots: round trips through
-//! commit/compact/reopen, migration from JSON spaces, and epoch fallback
-//! when a binary snapshot is damaged.
+//! commit/compact/reopen, migration from legacy JSON spaces, and epoch
+//! fallback when a binary snapshot is damaged.
 
-use semex_journal::{segment, DurableStore, JournalConfig, SnapshotFormat};
+mod common;
+
+use semex_journal::{segment, DurableStore, JournalConfig};
 use semex_model::names::{assoc, attr, class};
 use semex_model::Value;
 use semex_store::{ObjectId, SourceInfo, SourceKind, Store};
@@ -15,10 +17,9 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-fn config(format: SnapshotFormat) -> JournalConfig {
+fn config() -> JournalConfig {
     JournalConfig {
         fsync: false,
-        snapshot_format: format,
         ..JournalConfig::default()
     }
 }
@@ -57,28 +58,31 @@ fn assert_same_store(recovered: &Store, expected: &Store) {
     }
 }
 
-/// Names of all snapshot files in a journal directory.
-fn snapshot_names(dir: &Path) -> Vec<String> {
+/// Names of all files in a journal directory.
+fn file_names(dir: &Path) -> Vec<String> {
     let mut names: Vec<String> = fs::read_dir(dir)
         .unwrap()
         .filter_map(|e| e.ok())
         .filter_map(|e| e.file_name().to_str().map(str::to_owned))
-        .filter(|n| segment::parse_snapshot_name(n).is_some())
         .collect();
     names.sort();
+    names
+}
+
+/// Names of all snapshot files in a journal directory.
+fn snapshot_names(dir: &Path) -> Vec<String> {
+    let mut names = file_names(dir);
+    names.retain(|n| n.starts_with("snapshot-"));
     names
 }
 
 #[test]
 fn binary_space_round_trips_through_commit_compact_reopen() {
     let dir = scratch("roundtrip");
-    let (mut durable, report) = DurableStore::open(&dir, config(SnapshotFormat::Binary)).unwrap();
+    let (mut durable, report) = DurableStore::open(&dir, config()).unwrap();
     assert!(report.initialized);
     // The fresh epoch-0 snapshot is already binary.
-    assert_eq!(
-        snapshot_names(&dir),
-        vec![segment::snapshot_file_name(0, SnapshotFormat::Binary)]
-    );
+    assert_eq!(snapshot_names(&dir), vec![segment::snapshot_file_name(0)]);
 
     scenario(durable.store_mut());
     durable.commit().unwrap();
@@ -86,7 +90,7 @@ fn binary_space_round_trips_through_commit_compact_reopen() {
     drop(durable);
 
     // Reopen: recover from binary snapshot + WAL replay.
-    let (mut durable, report) = DurableStore::open(&dir, config(SnapshotFormat::Binary)).unwrap();
+    let (mut durable, report) = DurableStore::open(&dir, config()).unwrap();
     assert!(report.damage.is_none(), "{report:?}");
     assert!(report.warnings.is_empty(), "{:?}", report.warnings);
     assert_same_store(durable.store(), &live);
@@ -94,13 +98,10 @@ fn binary_space_round_trips_through_commit_compact_reopen() {
     // Compact folds everything into a binary epoch-1 snapshot.
     let c = durable.compact().unwrap();
     assert_eq!(c.epoch, 1);
-    assert_eq!(
-        snapshot_names(&dir),
-        vec![segment::snapshot_file_name(1, SnapshotFormat::Binary)]
-    );
+    assert_eq!(snapshot_names(&dir), vec![segment::snapshot_file_name(1)]);
     drop(durable);
 
-    let (durable, report) = DurableStore::open(&dir, config(SnapshotFormat::Binary)).unwrap();
+    let (durable, report) = DurableStore::open(&dir, config()).unwrap();
     assert_eq!(report.epoch, 1);
     assert!(report.damage.is_none(), "{report:?}");
     assert_same_store(durable.store(), &live);
@@ -110,49 +111,44 @@ fn binary_space_round_trips_through_commit_compact_reopen() {
 #[test]
 fn json_space_migrates_to_binary_at_compaction() {
     let dir = scratch("migrate");
-    // Build a JSON-format space first.
-    let (mut durable, _) = DurableStore::open(&dir, config(SnapshotFormat::Json)).unwrap();
-    scenario(durable.store_mut());
-    durable.commit().unwrap();
-    let live = durable.store().clone();
-    drop(durable);
-    assert_eq!(
-        snapshot_names(&dir),
-        vec![segment::snapshot_file_name(0, SnapshotFormat::Json)]
-    );
+    // A legacy space: its epoch-0 snapshot in the old JSON encoding.
+    let mut original = Store::with_builtin_model();
+    scenario(&mut original);
+    common::write_legacy_json_space(&dir, &original);
 
-    // Reopen with the binary config: the JSON snapshot is still read
-    // (formats are a read-both, write-configured gate) …
-    let (mut durable, report) = DurableStore::open(&dir, config(SnapshotFormat::Binary)).unwrap();
+    // The JSON snapshot is still read, and writes land in its epoch's log.
+    let (mut durable, report) = DurableStore::open(&dir, config()).unwrap();
     assert!(report.damage.is_none(), "{report:?}");
-    assert_same_store(durable.store(), &live);
-
-    // … and the next compaction rewrites the space in binary.
-    let c = durable.compact().unwrap();
-    assert_eq!(c.epoch, 1);
-    assert_eq!(
-        snapshot_names(&dir),
-        vec![segment::snapshot_file_name(1, SnapshotFormat::Binary)]
-    );
-    drop(durable);
-
-    let (durable, _) = DurableStore::open(&dir, config(SnapshotFormat::Binary)).unwrap();
-    assert_same_store(durable.store(), &live);
-
-    // And back: a JSON-configured compaction migrates the space again.
-    drop(durable);
-    let (mut durable, _) = DurableStore::open(&dir, config(SnapshotFormat::Json)).unwrap();
+    assert_eq!(report.epoch, 0);
+    assert_same_store(durable.store(), &original);
     let person = durable.store().model().class(class::PERSON).unwrap();
     durable.store_mut().add_object(person);
     durable.commit().unwrap();
     let live = durable.store().clone();
-    durable.compact().unwrap();
     drop(durable);
-    assert_eq!(
-        snapshot_names(&dir),
-        vec![segment::snapshot_file_name(2, SnapshotFormat::Json)]
+
+    let (mut durable, report) = DurableStore::open(&dir, config()).unwrap();
+    assert!(report.damage.is_none(), "{report:?}");
+    assert_eq!(report.events_applied, 1);
+    assert_same_store(durable.store(), &live);
+
+    // The next compaction rewrites the space in binary: nothing but the
+    // binary snapshot (and any index sidecar) is left.
+    let c = durable.compact().unwrap();
+    assert_eq!(c.epoch, 1);
+    drop(durable);
+    let names = file_names(&dir);
+    assert!(
+        names
+            .iter()
+            .all(|n| n.ends_with(".bin") || n.ends_with(".idx")),
+        "{names:?}"
     );
-    let (durable, _) = DurableStore::open(&dir, config(SnapshotFormat::Json)).unwrap();
+    assert_eq!(snapshot_names(&dir), vec![segment::snapshot_file_name(1)]);
+
+    let (durable, report) = DurableStore::open(&dir, config()).unwrap();
+    assert_eq!(report.epoch, 1);
+    assert!(report.damage.is_none(), "{report:?}");
     assert_same_store(durable.store(), &live);
     fs::remove_dir_all(&dir).ok();
 }
@@ -160,7 +156,7 @@ fn json_space_migrates_to_binary_at_compaction() {
 #[test]
 fn damaged_binary_snapshot_falls_back_to_previous_epoch() {
     let dir = scratch("fallback");
-    let (mut durable, _) = DurableStore::open(&dir, config(SnapshotFormat::Binary)).unwrap();
+    let (mut durable, _) = DurableStore::open(&dir, config()).unwrap();
     scenario(durable.store_mut());
     durable.commit().unwrap();
     let live = durable.store().clone();
@@ -177,7 +173,7 @@ fn damaged_binary_snapshot_falls_back_to_previous_epoch() {
             (name.clone(), fs::read(dir.join(&name)).unwrap())
         })
         .collect();
-    let (mut durable, _) = DurableStore::open(&dir, config(SnapshotFormat::Binary)).unwrap();
+    let (mut durable, _) = DurableStore::open(&dir, config()).unwrap();
     durable.compact().unwrap();
     drop(durable);
     for (name, bytes) in &saved {
@@ -187,7 +183,7 @@ fn damaged_binary_snapshot_falls_back_to_previous_epoch() {
     }
 
     // Corrupt the epoch-1 binary snapshot.
-    let snap1 = dir.join(segment::snapshot_file_name(1, SnapshotFormat::Binary));
+    let snap1 = dir.join(segment::snapshot_file_name(1));
     let mut bytes = fs::read(&snap1).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
@@ -195,7 +191,7 @@ fn damaged_binary_snapshot_falls_back_to_previous_epoch() {
 
     // Recovery reports the damage as a warning, falls back to epoch 0, and
     // still reaches the full committed state by replaying epoch 0's WAL.
-    let (durable, report) = DurableStore::open(&dir, config(SnapshotFormat::Binary)).unwrap();
+    let (durable, report) = DurableStore::open(&dir, config()).unwrap();
     assert_eq!(report.epoch, 0, "fell back to the previous epoch");
     assert!(
         report.warnings.iter().any(|w| w.contains("snapshot")),
@@ -210,19 +206,19 @@ fn damaged_binary_snapshot_falls_back_to_previous_epoch() {
 #[test]
 fn damaged_sole_binary_snapshot_is_a_typed_error() {
     let dir = scratch("sole");
-    let (mut durable, _) = DurableStore::open(&dir, config(SnapshotFormat::Binary)).unwrap();
+    let (mut durable, _) = DurableStore::open(&dir, config()).unwrap();
     scenario(durable.store_mut());
     durable.commit().unwrap();
     durable.compact().unwrap();
     drop(durable);
 
-    let snap = dir.join(segment::snapshot_file_name(1, SnapshotFormat::Binary));
+    let snap = dir.join(segment::snapshot_file_name(1));
     let mut bytes = fs::read(&snap).unwrap();
     let last = bytes.len() - 1;
     bytes[last] ^= 0x01;
     fs::write(&snap, &bytes).unwrap();
 
-    let err = DurableStore::open(&dir, config(SnapshotFormat::Binary)).unwrap_err();
+    let err = DurableStore::open(&dir, config()).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("no usable snapshot"), "typed error: {msg}");
     fs::remove_dir_all(&dir).ok();
@@ -231,7 +227,7 @@ fn damaged_sole_binary_snapshot_is_a_typed_error() {
 #[test]
 fn truncated_binary_snapshot_falls_back_too() {
     let dir = scratch("truncated");
-    let (mut durable, _) = DurableStore::open(&dir, config(SnapshotFormat::Binary)).unwrap();
+    let (mut durable, _) = DurableStore::open(&dir, config()).unwrap();
     scenario(durable.store_mut());
     durable.commit().unwrap();
     let live = durable.store().clone();
@@ -245,7 +241,7 @@ fn truncated_binary_snapshot_falls_back_too() {
             (name.clone(), fs::read(dir.join(&name)).unwrap())
         })
         .collect();
-    let (mut durable, _) = DurableStore::open(&dir, config(SnapshotFormat::Binary)).unwrap();
+    let (mut durable, _) = DurableStore::open(&dir, config()).unwrap();
     durable.compact().unwrap();
     drop(durable);
     for (name, bytes) in &saved {
@@ -255,11 +251,11 @@ fn truncated_binary_snapshot_falls_back_too() {
     }
 
     // Tear the epoch-1 snapshot in half (torn write at compaction).
-    let snap1 = dir.join(segment::snapshot_file_name(1, SnapshotFormat::Binary));
+    let snap1 = dir.join(segment::snapshot_file_name(1));
     let bytes = fs::read(&snap1).unwrap();
     fs::write(&snap1, &bytes[..bytes.len() / 2]).unwrap();
 
-    let (durable, report) = DurableStore::open(&dir, config(SnapshotFormat::Binary)).unwrap();
+    let (durable, report) = DurableStore::open(&dir, config()).unwrap();
     assert_eq!(report.epoch, 0);
     assert!(!report.warnings.is_empty());
     assert_same_store(durable.store(), &live);

@@ -17,10 +17,16 @@
 //! down), transient errors (EINTR / timeout / short write — the journal's
 //! bounded retry must absorb them), and a full disk (permanent `ENOSPC`
 //! until space clears, after which the journal must converge).
+//!
+//! The same three families are also swept over the first compaction of a
+//! legacy JSON-snapshot space, the step that turns it binary: whichever
+//! epoch survives, recovery must yield the pre-compaction state.
+
+mod common;
 
 use semex_journal::{
-    recover_with_io, FaultIo, FaultPlan, Journal, JournalConfig, JournalError, JournalIo,
-    RecoveryReport, SnapshotFormat,
+    recover_with_io, FaultIo, FaultPlan, Journal, JournalConfig, JournalError, JournalIo, RealIo,
+    RecoveryReport,
 };
 use semex_model::names::{assoc, attr, class};
 use semex_model::Value;
@@ -41,13 +47,11 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 /// Sweep config: fsync on (sync ops are fault points too), no backoff
-/// sleeping. Both snapshot formats are swept — the binary writer is on the
-/// same fault surface as the JSON one.
-fn cfg(format: SnapshotFormat) -> JournalConfig {
+/// sleeping.
+fn cfg() -> JournalConfig {
     JournalConfig {
         fsync: true,
         retry_backoff: Duration::ZERO,
-        snapshot_format: format,
         ..JournalConfig::default()
     }
 }
@@ -119,12 +123,7 @@ struct WorkloadRun {
 /// re-runs a failed *recovery* step once when its error is transient (the
 /// workload-level analog of the journal's internal retry, for the one
 /// operation class that has none).
-fn run_workload(
-    dir: &Path,
-    io: Arc<dyn JournalIo>,
-    retry_transient_steps: bool,
-    format: SnapshotFormat,
-) -> WorkloadRun {
+fn run_workload(dir: &Path, io: Arc<dyn JournalIo>, retry_transient_steps: bool) -> WorkloadRun {
     let b = batches();
     let mut run = WorkloadRun {
         append_outcomes: [StepOutcome::Skipped; 3],
@@ -133,17 +132,7 @@ fn run_workload(
         final_recover: None,
     };
 
-    let recover_step = || -> Option<(Store, Journal, RecoveryReport)> {
-        match recover_with_io(dir, cfg(format), io.clone()) {
-            Ok(v) => Some(v),
-            Err(e) if retry_transient_steps && e.is_transient() => {
-                recover_with_io(dir, cfg(format), io.clone()).ok()
-            }
-            Err(_) => None,
-        }
-    };
-
-    let Some((_, mut j, _)) = recover_step() else {
+    let Some((_, mut j, _)) = recover_step(dir, &io, retry_transient_steps) else {
         return run;
     };
 
@@ -171,16 +160,32 @@ fn run_workload(
     }
     drop(j);
 
-    run.final_recover = recover_step().map(|(s, _, r)| (s, r));
+    run.final_recover = recover_step(dir, &io, retry_transient_steps).map(|(s, _, r)| (s, r));
     run
+}
+
+/// One recovery of the workload. `retry_transient_steps` re-runs it once
+/// when its error is transient.
+fn recover_step(
+    dir: &Path,
+    io: &Arc<dyn JournalIo>,
+    retry_transient_steps: bool,
+) -> Option<(Store, Journal, RecoveryReport)> {
+    match recover_with_io(dir, cfg(), io.clone()) {
+        Ok(v) => Some(v),
+        Err(e) if retry_transient_steps && e.is_transient() => {
+            recover_with_io(dir, cfg(), io.clone()).ok()
+        }
+        Err(_) => None,
+    }
 }
 
 /// Fault-free pass: returns the workload's total I/O op count and the
 /// reference final state.
-fn fault_free_op_count(format: SnapshotFormat) -> (u64, String) {
+fn fault_free_op_count() -> (u64, String) {
     let dir = scratch("ref");
     let io = FaultIo::new(FaultPlan::None);
-    let run = run_workload(&dir, Arc::new(io.clone()), false, format);
+    let run = run_workload(&dir, Arc::new(io.clone()), false);
     assert_eq!(run.append_outcomes, [StepOutcome::Ok; 3]);
     assert_eq!(run.compact_ok, Some(true));
     let (store, rep) = run.final_recover.expect("fault-free run must recover");
@@ -191,8 +196,9 @@ fn fault_free_op_count(format: SnapshotFormat) -> (u64, String) {
     (io.op_count(), reference)
 }
 
-fn sweep_crash(format: SnapshotFormat) {
-    let (total_ops, _) = fault_free_op_count(format);
+#[test]
+fn sweep_crash_at_every_op_preserves_acked_commits() {
+    let (total_ops, _) = fault_free_op_count();
     let boundaries = boundary_states();
     assert!(
         total_ops > 20,
@@ -202,7 +208,7 @@ fn sweep_crash(format: SnapshotFormat) {
     for at in 0..total_ops {
         let dir = scratch("crash");
         let io = FaultIo::new(FaultPlan::Crash { at });
-        let run = run_workload(&dir, Arc::new(io.clone()), false, format);
+        let run = run_workload(&dir, Arc::new(io.clone()), false);
 
         let acked = run
             .append_outcomes
@@ -214,7 +220,7 @@ fn sweep_crash(format: SnapshotFormat) {
         // Power comes back: recovery must land on a commit boundary no
         // earlier than the last ack.
         io.clear_faults();
-        let (store, _, rep) = recover_with_io(&dir, cfg(format), Arc::new(io.clone()))
+        let (store, _, rep) = recover_with_io(&dir, cfg(), Arc::new(io.clone()))
             .unwrap_or_else(|e| panic!("recovery after crash at op {at} failed: {e}"));
         let recovered = store.to_json().unwrap();
         let allowed = &boundaries[acked..=attempted];
@@ -224,7 +230,7 @@ fn sweep_crash(format: SnapshotFormat) {
              [acked {acked}, attempted {attempted}] (report {rep:?})"
         );
         // Repair round-trips byte-identically and cleanly.
-        let (store2, _, rep2) = recover_with_io(&dir, cfg(format), Arc::new(io.clone())).unwrap();
+        let (store2, _, rep2) = recover_with_io(&dir, cfg(), Arc::new(io.clone())).unwrap();
         assert!(
             rep2.damage.is_none(),
             "crash at op {at}: damage survived repair: {rep2:?} (first: {rep:?})"
@@ -233,24 +239,13 @@ fn sweep_crash(format: SnapshotFormat) {
         survived += 1;
         std::fs::remove_dir_all(&dir).ok();
     }
-    println!(
-        "fault sweep [crash, {format:?}]: {total_ops} ops swept, {survived} recoveries verified"
-    );
+    println!("fault sweep [crash]: {total_ops} ops swept, {survived} recoveries verified");
     assert_eq!(survived, total_ops);
 }
 
 #[test]
-fn sweep_crash_at_every_op_preserves_acked_commits() {
-    sweep_crash(SnapshotFormat::Json);
-}
-
-#[test]
-fn sweep_crash_at_every_op_preserves_acked_commits_binary() {
-    sweep_crash(SnapshotFormat::Binary);
-}
-
-fn sweep_transient(format: SnapshotFormat) {
-    let (total_ops, reference) = fault_free_op_count(format);
+fn sweep_transient_fault_at_every_op_is_absorbed() {
+    let (total_ops, reference) = fault_free_op_count();
     let mut survived = 0u64;
     let mut injected = 0u64;
     for at in 0..total_ops {
@@ -267,7 +262,7 @@ fn sweep_transient(format: SnapshotFormat) {
         ] {
             let dir = scratch("transient");
             let io = FaultIo::new(plan);
-            let run = run_workload(&dir, Arc::new(io.clone()), true, format);
+            let run = run_workload(&dir, Arc::new(io.clone()), true);
             assert_eq!(
                 run.append_outcomes,
                 [StepOutcome::Ok; 3],
@@ -289,31 +284,22 @@ fn sweep_transient(format: SnapshotFormat) {
         }
     }
     println!(
-        "fault sweep [transient, {format:?}]: {total_ops} ops × 3 kinds swept, \
+        "fault sweep [transient]: {total_ops} ops × 3 kinds swept, \
          {survived} runs converged, {injected} faults injected"
     );
     assert_eq!(survived, total_ops * 3);
 }
 
 #[test]
-fn sweep_transient_fault_at_every_op_is_absorbed() {
-    sweep_transient(SnapshotFormat::Json);
-}
-
-#[test]
-fn sweep_transient_fault_at_every_op_is_absorbed_binary() {
-    sweep_transient(SnapshotFormat::Binary);
-}
-
-fn sweep_disk_full(format: SnapshotFormat) {
-    let (total_ops, reference) = fault_free_op_count(format);
+fn sweep_disk_full_at_every_op_converges_after_space_clears() {
+    let (total_ops, reference) = fault_free_op_count();
     let boundaries = boundary_states();
     let b = batches();
     let mut survived = 0u64;
     for at in 0..total_ops {
         let dir = scratch("full");
         let io = FaultIo::new(FaultPlan::DiskFull { at });
-        let run = run_workload(&dir, Arc::new(io.clone()), false, format);
+        let run = run_workload(&dir, Arc::new(io.clone()), false);
         let acked = run
             .append_outcomes
             .iter()
@@ -323,7 +309,7 @@ fn sweep_disk_full(format: SnapshotFormat) {
 
         // Operator frees space; the journal must converge to the reference.
         io.clear_faults();
-        let (store, mut j, _) = recover_with_io(&dir, cfg(format), Arc::new(io.clone()))
+        let (store, mut j, _) = recover_with_io(&dir, cfg(), Arc::new(io.clone()))
             .unwrap_or_else(|e| panic!("disk-full at op {at}: recovery failed: {e}"));
         let recovered = store.to_json().unwrap();
         let allowed = &boundaries[acked..=attempted];
@@ -337,26 +323,181 @@ fn sweep_disk_full(format: SnapshotFormat) {
                 .unwrap_or_else(|e| panic!("disk-full at op {at}: re-append failed: {e}"));
         }
         drop(j);
-        let (fin, _, rep) = recover_with_io(&dir, cfg(format), Arc::new(io.clone())).unwrap();
+        let (fin, _, rep) = recover_with_io(&dir, cfg(), Arc::new(io.clone())).unwrap();
         assert!(rep.damage.is_none(), "disk-full at op {at}: {rep:?}");
         assert_eq!(fin.to_json().unwrap(), reference, "disk-full at op {at}");
         survived += 1;
         std::fs::remove_dir_all(&dir).ok();
     }
-    println!(
-        "fault sweep [disk-full, {format:?}]: {total_ops} ops swept, {survived} runs converged"
-    );
+    println!("fault sweep [disk-full]: {total_ops} ops swept, {survived} runs converged");
     assert_eq!(survived, total_ops);
 }
 
-#[test]
-fn sweep_disk_full_at_every_op_converges_after_space_clears() {
-    sweep_disk_full(SnapshotFormat::Json);
+// ------------------------------------------- legacy JSON space migration --
+
+/// A legacy space holding boundary state 2: batch 1 folded into its JSON
+/// snapshot and batch 2 in its epoch-0 log. Written without faults.
+fn legacy_space(tag: &str) -> PathBuf {
+    let dir = scratch(tag);
+    let b = batches();
+    let mut base = Store::with_builtin_model();
+    for e in &b[0] {
+        base.apply_event(e).unwrap();
+    }
+    common::write_legacy_json_space(&dir, &base);
+    let (_, mut j, _) = recover_with_io(&dir, cfg(), Arc::new(RealIo)).unwrap();
+    j.append_commit(&b[1]).unwrap();
+    dir
+}
+
+/// Open a legacy space and run its first compaction, the one that writes
+/// a binary snapshot. `None` when the open failed, else whether the
+/// compaction was acknowledged.
+fn migrate(dir: &Path, io: &Arc<dyn JournalIo>, retry_transient_steps: bool) -> Option<bool> {
+    let (store, mut j, _) = recover_step(dir, io, retry_transient_steps)?;
+    Some(j.compact(&store).is_ok())
+}
+
+/// Number of I/O ops a fault-free migration makes.
+fn migration_op_count() -> u64 {
+    let dir = legacy_space("migrate-ref");
+    let io = FaultIo::new(FaultPlan::None);
+    assert_eq!(
+        migrate(&dir, &(Arc::new(io.clone()) as _), false),
+        Some(true)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    io.op_count()
+}
+
+/// After a faulted migration: recovery yields the pre-compaction state
+/// from whichever epoch survived, a second recovery is clean and
+/// identical, and the space stays writable and ends up binary only.
+/// Returns the epoch the first recovery landed on.
+fn assert_migration_recovers(dir: &Path, io: &FaultIo, what: &str) -> u64 {
+    let boundaries = boundary_states();
+    let io: Arc<dyn JournalIo> = Arc::new(io.clone());
+    let (store, j, rep) = recover_with_io(dir, cfg(), io.clone())
+        .unwrap_or_else(|e| panic!("{what}: recovery failed: {e}"));
+    assert_eq!(
+        store.to_json().unwrap(),
+        boundaries[2],
+        "{what}: recovered state is not the pre-compaction state (report {rep:?})"
+    );
+    assert!(rep.epoch <= 1, "{what}: {rep:?}");
+    drop(j);
+
+    let (store2, mut j, rep2) = recover_with_io(dir, cfg(), io.clone()).unwrap();
+    assert!(rep2.damage.is_none(), "{what}: {rep2:?}");
+    assert_eq!(store2.to_json().unwrap(), boundaries[2], "{what}");
+    j.append_commit(&batches()[2])
+        .unwrap_or_else(|e| panic!("{what}: append after recovery failed: {e}"));
+    let mut expected = store2;
+    for e in &batches()[2] {
+        expected.apply_event(e).unwrap();
+    }
+    j.compact(&expected)
+        .unwrap_or_else(|e| panic!("{what}: compaction after recovery failed: {e}"));
+    drop(j);
+
+    let (fin, _, rep3) = recover_with_io(dir, cfg(), io).unwrap();
+    assert!(rep3.damage.is_none(), "{what}: {rep3:?}");
+    assert_eq!(fin.to_json().unwrap(), boundaries[3], "{what}");
+    let snapshots: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|n| n.starts_with("snapshot-"))
+        .collect();
+    assert_eq!(
+        snapshots,
+        vec![semex_journal::segment::snapshot_file_name(rep3.epoch)],
+        "{what}: the space must end up binary only"
+    );
+    rep.epoch
 }
 
 #[test]
-fn sweep_disk_full_at_every_op_converges_after_space_clears_binary() {
-    sweep_disk_full(SnapshotFormat::Binary);
+fn sweep_crash_during_migration_recovers_pre_compaction_state() {
+    let total_ops = migration_op_count();
+    assert!(
+        total_ops > 5,
+        "migration too small to be a meaningful sweep"
+    );
+    let mut on_epoch = [0u64; 2];
+    for at in 0..total_ops {
+        let dir = legacy_space("migrate-crash");
+        let io = FaultIo::new(FaultPlan::Crash { at });
+        let acked = migrate(&dir, &(Arc::new(io.clone()) as _), false) == Some(true);
+        io.clear_faults();
+        let what = format!("crash at migration op {at}");
+        let epoch = assert_migration_recovers(&dir, &io, &what);
+        if acked {
+            assert_eq!(epoch, 1, "{what}: an acked compaction must survive");
+        }
+        on_epoch[epoch as usize] += 1;
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    println!(
+        "fault sweep [migration crash]: {total_ops} ops swept, {} recovered from JSON, \
+         {} from binary",
+        on_epoch[0], on_epoch[1]
+    );
+    assert_eq!(on_epoch[0] + on_epoch[1], total_ops);
+}
+
+#[test]
+fn sweep_transient_fault_during_migration_is_absorbed() {
+    let total_ops = migration_op_count();
+    let mut survived = 0u64;
+    for at in 0..total_ops {
+        for plan in [
+            FaultPlan::ErrorOnce {
+                at,
+                kind: ErrorKind::Interrupted,
+            },
+            FaultPlan::ErrorOnce {
+                at,
+                kind: ErrorKind::TimedOut,
+            },
+            FaultPlan::ShortWrite { at },
+        ] {
+            let dir = legacy_space("migrate-transient");
+            let io = FaultIo::new(plan);
+            let what = format!("transient {plan:?} during migration");
+            assert_eq!(
+                migrate(&dir, &(Arc::new(io.clone()) as _), true),
+                Some(true),
+                "{what} must be absorbed"
+            );
+            io.clear_faults();
+            assert_eq!(assert_migration_recovers(&dir, &io, &what), 1, "{what}");
+            survived += 1;
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+    println!("fault sweep [migration transient]: {total_ops} ops × 3 kinds, {survived} converged");
+    assert_eq!(survived, total_ops * 3);
+}
+
+#[test]
+fn sweep_disk_full_during_migration_converges_after_space_clears() {
+    let total_ops = migration_op_count();
+    let mut survived = 0u64;
+    for at in 0..total_ops {
+        let dir = legacy_space("migrate-full");
+        let io = FaultIo::new(FaultPlan::DiskFull { at });
+        let acked = migrate(&dir, &(Arc::new(io.clone()) as _), false) == Some(true);
+        io.clear_faults();
+        let what = format!("disk-full at migration op {at}");
+        let epoch = assert_migration_recovers(&dir, &io, &what);
+        if acked {
+            assert_eq!(epoch, 1, "{what}: an acked compaction must survive");
+        }
+        survived += 1;
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    println!("fault sweep [migration disk-full]: {total_ops} ops swept, {survived} converged");
+    assert_eq!(survived, total_ops);
 }
 
 // ------------------------------------------------- retry & wedge units --
@@ -366,7 +507,7 @@ fn transient_append_fault_is_retried_and_absorbed() {
     let dir = scratch("retry");
     let io = FaultIo::new(FaultPlan::None);
     let arc: Arc<dyn JournalIo> = Arc::new(io.clone());
-    let (_, mut j, _) = recover_with_io(&dir, cfg(SnapshotFormat::Json), arc).unwrap();
+    let (_, mut j, _) = recover_with_io(&dir, cfg(), arc).unwrap();
     let b = batches();
     j.append_commit(&b[0]).unwrap();
     assert_eq!(j.retry_count(), 0);
@@ -382,7 +523,7 @@ fn transient_append_fault_is_retried_and_absorbed() {
     drop(j);
 
     io.clear_faults();
-    let (rs, _, rep) = recover_with_io(&dir, cfg(SnapshotFormat::Json), Arc::new(io)).unwrap();
+    let (rs, _, rep) = recover_with_io(&dir, cfg(), Arc::new(io)).unwrap();
     assert!(rep.damage.is_none(), "{rep:?}");
     assert_eq!(rs.to_json().unwrap(), boundary_states()[2]);
     std::fs::remove_dir_all(&dir).ok();
@@ -393,7 +534,7 @@ fn permanent_fault_mid_commit_wedges_and_reopen_recovers() {
     let dir = scratch("wedge");
     let io = FaultIo::new(FaultPlan::None);
     let arc: Arc<dyn JournalIo> = Arc::new(io.clone());
-    let (_, mut j, _) = recover_with_io(&dir, cfg(SnapshotFormat::Json), arc).unwrap();
+    let (_, mut j, _) = recover_with_io(&dir, cfg(), arc).unwrap();
     let b = batches();
     j.append_commit(&b[0]).unwrap();
 
@@ -420,7 +561,7 @@ fn permanent_fault_mid_commit_wedges_and_reopen_recovers() {
     j.append_commit(&b[1]).unwrap();
     drop(j);
 
-    let (rs, _, rep) = recover_with_io(&dir, cfg(SnapshotFormat::Json), Arc::new(io)).unwrap();
+    let (rs, _, rep) = recover_with_io(&dir, cfg(), Arc::new(io)).unwrap();
     assert!(rep.damage.is_none(), "{rep:?}");
     assert_eq!(rs.to_json().unwrap(), boundary_states()[2]);
     std::fs::remove_dir_all(&dir).ok();
@@ -430,12 +571,7 @@ fn permanent_fault_mid_commit_wedges_and_reopen_recovers() {
 fn unsealed_tail_is_discarded_on_recovery() {
     use std::io::Write;
     let dir = scratch("unsealed");
-    let (_, mut j, _) = recover_with_io(
-        &dir,
-        cfg(SnapshotFormat::Json),
-        Arc::new(semex_journal::RealIo),
-    )
-    .unwrap();
+    let (_, mut j, _) = recover_with_io(&dir, cfg(), Arc::new(semex_journal::RealIo)).unwrap();
     let b = batches();
     j.append_commit(&b[0]).unwrap();
     drop(j);
@@ -451,24 +587,14 @@ fn unsealed_tail_is_discarded_on_recovery() {
     f.write_all(&extra).unwrap();
     drop(f);
 
-    let (rs, _, rep) = recover_with_io(
-        &dir,
-        cfg(SnapshotFormat::Json),
-        Arc::new(semex_journal::RealIo),
-    )
-    .unwrap();
+    let (rs, _, rep) = recover_with_io(&dir, cfg(), Arc::new(semex_journal::RealIo)).unwrap();
     let damage = rep.damage.expect("unsealed tail must be reported");
     assert_eq!(damage.kind, semex_journal::DamageKind::Uncommitted);
     assert_eq!(damage.offset, len_sealed);
     assert_eq!(rs.to_json().unwrap(), boundary_states()[1]);
 
     // Repaired: second recovery is clean, the file is back to sealed size.
-    let (rs2, _, rep2) = recover_with_io(
-        &dir,
-        cfg(SnapshotFormat::Json),
-        Arc::new(semex_journal::RealIo),
-    )
-    .unwrap();
+    let (rs2, _, rep2) = recover_with_io(&dir, cfg(), Arc::new(semex_journal::RealIo)).unwrap();
     assert!(rep2.damage.is_none(), "{rep2:?}");
     assert_eq!(rs2.to_json().unwrap(), rs.to_json().unwrap());
     assert_eq!(std::fs::metadata(&seg).unwrap().len(), len_sealed);

@@ -318,16 +318,10 @@ fn compaction_folds_journal_and_state_survives() {
     assert_eq!(durable.journal().epoch(), 1);
     // Old-epoch files are gone; the new snapshot exists.
     assert!(!dir
-        .join(semex_journal::segment::snapshot_file_name(
-            0,
-            semex_journal::SnapshotFormat::Json
-        ))
+        .join(semex_journal::segment::snapshot_file_name(0))
         .exists());
     assert!(dir
-        .join(semex_journal::segment::snapshot_file_name(
-            1,
-            semex_journal::SnapshotFormat::Json
-        ))
+        .join(semex_journal::segment::snapshot_file_name(1))
         .exists());
 
     // Keep writing after compaction.

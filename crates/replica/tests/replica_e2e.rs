@@ -232,6 +232,11 @@ fn fresh_follower_bootstraps_a_journal_born_from_a_populated_store() {
         want,
         "fresh follower is missing the primary's base snapshot"
     );
+    // The shipped image was installed as a binary epoch-1 snapshot.
+    assert!(
+        follower_dir.join("snapshot-0000000001.bin").exists(),
+        "bootstrap image not installed as a binary snapshot"
+    );
 
     // And the stream keeps working on top of the installed image.
     ingest(

@@ -5,7 +5,7 @@
 //! un-durable write backlog (journal commits failing) comes back at
 //! exactly its durable prefix.
 
-use semex_core::{JournalConfig, SnapshotFormat};
+use semex_core::JournalConfig;
 use semex_journal::{FaultIo, FaultPlan};
 use semex_serve::protocol::{IngestFormat, Request, Response};
 use semex_serve::{serve_tenants, Client, PoolConfig, ServeConfig, ServeHandle, TenantRegistry};
@@ -69,14 +69,16 @@ fn observe(client: &mut Client, tokens: &[&str]) -> Vec<Response> {
     out
 }
 
-fn twin_equiv(format: SnapshotFormat, tag: &str) {
-    let root = temp_root(tag);
+/// Cold reactivation goes through the binary snapshot and the index
+/// sidecar.
+#[test]
+fn evicted_tenant_is_indistinguishable_from_its_never_evicted_twin() {
+    let root = temp_root("twin");
     let handle = start(
         &root,
         PoolConfig {
             journal: JournalConfig {
                 fsync: false,
-                snapshot_format: format,
                 ..JournalConfig::default()
             },
             ..PoolConfig::default()
@@ -111,18 +113,6 @@ fn twin_equiv(format: SnapshotFormat, tag: &str) {
     let report = handle.join();
     assert!(report.tenants.evictions >= 3, "{:?}", report.tenants);
     assert!(report.tenants.cold_opens >= 3, "{:?}", report.tenants);
-}
-
-#[test]
-fn evicted_tenant_is_indistinguishable_from_its_never_evicted_twin() {
-    twin_equiv(SnapshotFormat::Json, "twin");
-}
-
-/// Same invariant when cold reactivation goes through the binary snapshot
-/// and the index sidecar instead of the JSON heap decode + rebuild.
-#[test]
-fn evicted_tenant_is_indistinguishable_under_binary_snapshots() {
-    twin_equiv(SnapshotFormat::Binary, "twin-bin");
 }
 
 #[test]

@@ -15,7 +15,11 @@
 //! merging re-points all edges of the losing object to the winner and pools
 //! attributes, while keeping the loser resolvable as an alias.
 //!
-//! Persistence is a JSON snapshot ([`Store::to_json`] / [`Store::from_json`]).
+//! Persistence has two encodings. The versioned binary image
+//! ([`Store::to_binary`] / [`Store::from_binary`], magic `SEMEXSNP`) is the
+//! one journal snapshots are written in. JSON ([`Store::to_json`] /
+//! [`Store::from_json`]) backs the plain snapshot file, the replication
+//! wire and the reading of legacy journal snapshots.
 //! For durable, incremental persistence the store can additionally record a
 //! typed stream of mutation events ([`StoreEvent`], [`Store::enable_events`])
 //! that the `semex-journal` crate appends to a checksummed write-ahead log;

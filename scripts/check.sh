@@ -15,11 +15,11 @@ echo "==> cargo test"
 cargo test -q --workspace
 
 echo "==> durability fault sweep (a fault injected at every journal I/O op,"
-echo "    swept once per snapshot format: JSON and binary)"
+echo "    and at every op of a legacy JSON space's migrating compaction)"
 cargo test -q -p semex-journal --test fault_sweep -- --nocapture
 
-echo "==> binary snapshot suite (round trips, format migration, epoch fallback"
-echo "    on damage, and JSON/binary dual-read equivalence)"
+echo "==> binary snapshot suite (round trips, legacy JSON migration, epoch"
+echo "    fallback on damage, and durable vs in-memory twin equivalence)"
 cargo test -q -p semex-journal --test binary_format
 cargo test -q --test format_equiv
 
@@ -50,7 +50,7 @@ cargo test -q -p semex-serve --test cache_equiv_prop
 echo "==> e14 smoke (multi-tenant serving at CI scale -> BENCH_tenants.json)"
 cargo run --release -q -p semex-bench --bin experiments -- e14-smoke
 
-echo "==> e15 smoke (binary vs JSON cold opens at CI scale -> BENCH_snapshot.json)"
+echo "==> e15 smoke (binary snapshot cold opens at CI scale -> BENCH_snapshot.json)"
 cargo run --release -q -p semex-bench --bin experiments -- e15-smoke
 
 echo "==> e16 smoke (read-cache hit rate, latency, and coalescing at CI scale"

@@ -8,10 +8,9 @@
 //! `build` and `demo` accept `--recon-threads N` to pin the reconciliation
 //! thread budget (defaults to the machine's parallelism; results are
 //! identical at any setting).
-//! semex journal-compact <space.journal> [--format json|binary]
-//!                                        fold a journal into a fresh snapshot
-//!                                        (--format migrates the snapshot
-//!                                        encoding; the default preserves it)
+//! semex journal-compact <space.journal>  fold a journal into a fresh binary
+//!                                        snapshot (a legacy JSON snapshot
+//!                                        turns binary here)
 //! semex stats <space.json>               show the association-DB inventory
 //! semex search <space.json> [--exhaustive] <query...>   object-centric keyword
 //!                                        search (--exhaustive bypasses the
@@ -63,13 +62,13 @@
 //! snapshot plus write-ahead-log replay.
 
 use semex::corpus::{generate_personal, CorpusConfig};
-use semex::{JournalConfig, Semex, SemexBuilder, SemexConfig, SnapshotFormat};
+use semex::{JournalConfig, Semex, SemexBuilder, SemexConfig};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  semex build <dir> [--durable] [--format json|binary] [--recon-threads N] -o <snapshot.json | journal-dir>\n  semex demo [--durable] [--format json|binary] [--recon-threads N] -o <snapshot.json | journal-dir> [--seed N] [--scale F]\n  semex journal-compact <journal-dir> [--format json|binary]\n  semex stats <space>\n  semex search <space> [--exhaustive] <query...>\n  semex show <space> <query...>\n  semex explain <space> <query...>\n  semex coauthors <space> <person name...>\n  semex path <space> <from name> -- <to name>\n  semex query <space> '<pattern query>'\n  semex query <space> --path '<path query>' [--page N] [--cursor TOK] [--threads N]\n  semex top <space>\n  semex repl <space>\n  semex timeline <space> <person>\n  semex communities <space>\n  semex serve <space> [--addr HOST:PORT] [--threads N] [--writers N] [--cache-mb N] [--format json|binary]\n  semex serve --tenants <root> [--budget-mb N] [--cache-mb N] [--addr HOST:PORT] [--threads N] [--writers N] [--format json|binary]\n  semex serve <journal-dir> --listen-replication HOST:PORT [serve flags...]\n  semex serve <journal-dir> --replicate-from HOST:PORT [--max-lag N] [--follower-name NAME] [serve flags...]\n  semex promote <addr>\n  semex client <addr> [--tenant NAME] [--retries N] <request...>\n  semex client <addr> search [--exhaustive] <query...>\n  semex client <addr> query '<patterns>'\n  semex client <addr> pathq '<path query>' [--page N] [--cursor TOK]\n  semex client <addr> show <query...>\n  semex client <addr> browse <query...>\n  semex client <addr> stats\n  semex client <addr> ingest <mbox|vcard|bibtex|latex|ical> <name> <file>\n  semex client <addr> integrate <name> <file.csv>\n  semex client <addr> same <id> <id>\n  semex client <addr> distinct <id> <id>\n  semex client <addr> promote\n  semex client <addr> shutdown\n\n<space> is a snapshot file or a --durable journal directory.\nserve on a journal directory commits every acked write; on a snapshot,\nwrites live only for the session."
+        "usage:\n  semex build <dir> [--durable] [--recon-threads N] -o <snapshot.json | journal-dir>\n  semex demo [--durable] [--recon-threads N] -o <snapshot.json | journal-dir> [--seed N] [--scale F]\n  semex journal-compact <journal-dir>\n  semex stats <space>\n  semex search <space> [--exhaustive] <query...>\n  semex show <space> <query...>\n  semex explain <space> <query...>\n  semex coauthors <space> <person name...>\n  semex path <space> <from name> -- <to name>\n  semex query <space> '<pattern query>'\n  semex query <space> --path '<path query>' [--page N] [--cursor TOK] [--threads N]\n  semex top <space>\n  semex repl <space>\n  semex timeline <space> <person>\n  semex communities <space>\n  semex serve <space> [--addr HOST:PORT] [--threads N] [--writers N] [--cache-mb N]\n  semex serve --tenants <root> [--budget-mb N] [--cache-mb N] [--addr HOST:PORT] [--threads N] [--writers N]\n  semex serve <journal-dir> --listen-replication HOST:PORT [serve flags...]\n  semex serve <journal-dir> --replicate-from HOST:PORT [--max-lag N] [--follower-name NAME] [serve flags...]\n  semex promote <addr>\n  semex client <addr> [--tenant NAME] [--retries N] <request...>\n  semex client <addr> search [--exhaustive] <query...>\n  semex client <addr> query '<patterns>'\n  semex client <addr> pathq '<path query>' [--page N] [--cursor TOK]\n  semex client <addr> show <query...>\n  semex client <addr> browse <query...>\n  semex client <addr> stats\n  semex client <addr> ingest <mbox|vcard|bibtex|latex|ical> <name> <file>\n  semex client <addr> integrate <name> <file.csv>\n  semex client <addr> same <id> <id>\n  semex client <addr> distinct <id> <id>\n  semex client <addr> promote\n  semex client <addr> shutdown\n\n<space> is a snapshot file or a --durable journal directory.\nserve on a journal directory commits every acked write; on a snapshot,\nwrites live only for the session."
     );
     ExitCode::from(2)
 }
@@ -102,13 +101,7 @@ fn print_recovery(report: &semex::core::RecoveryReport) {
 fn load(path: &str) -> Result<Semex, String> {
     let p = Path::new(path);
     if p.is_dir() {
-        // Match the on-disk format so binary spaces restore their index
-        // sidecar instead of rebuilding.
-        let journal_config = JournalConfig {
-            snapshot_format: detect_format(p),
-            ..JournalConfig::default()
-        };
-        let (durable, report) = Semex::open_durable_with(p, SemexConfig::default(), journal_config)
+        let (durable, report) = Semex::open_durable(p, SemexConfig::default())
             .map_err(|e| format!("cannot open journal {path}: {e}"))?;
         print_recovery(&report);
         Ok(durable.into_inner())
@@ -171,20 +164,16 @@ fn out_flag(args: &[String]) -> Option<(PathBuf, Vec<&String>)> {
 }
 
 /// Persist a freshly built platform: plain snapshot, or (`--durable`) a
-/// journal directory seeded with the built state in the given snapshot
-/// format.
-fn persist(semex: Semex, out: &Path, durable: bool, format: SnapshotFormat) -> Result<(), String> {
+/// journal directory seeded with the built state.
+fn persist(semex: Semex, out: &Path, durable: bool) -> Result<(), String> {
     if durable {
-        let config = JournalConfig {
-            snapshot_format: format,
-            ..JournalConfig::default()
-        };
-        let d = semex.into_durable(out, config).map_err(|e| e.to_string())?;
+        let d = semex
+            .into_durable(out, JournalConfig::default())
+            .map_err(|e| e.to_string())?;
         println!(
-            "journal initialized at {} (epoch {}, {:?} snapshot)",
+            "journal initialized at {} (epoch {})",
             out.display(),
-            d.journal().epoch(),
-            format
+            d.journal().epoch()
         );
     } else {
         semex.save(out).map_err(|e| e.to_string())?;
@@ -213,51 +202,6 @@ fn recon_threads_flag(args: Vec<&String>) -> Result<(Vec<&String>, SemexConfig),
     Ok((rest, config))
 }
 
-/// Parse `--format json|binary` out of an argument list, returning the
-/// remaining arguments and the chosen snapshot format (if any).
-fn format_flag(args: Vec<&String>) -> Result<(Vec<&String>, Option<SnapshotFormat>), String> {
-    let mut format = None;
-    let mut rest = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        if a == "--format" {
-            format = Some(match it.next().map(String::as_str) {
-                Some("json") => SnapshotFormat::Json,
-                Some("binary" | "bin") => SnapshotFormat::Binary,
-                _ => return Err("--format needs `json` or `binary`".into()),
-            });
-        } else {
-            rest.push(a);
-        }
-    }
-    Ok((rest, format))
-}
-
-/// The snapshot format a journal directory currently uses (its newest
-/// epoch's snapshot), so commands preserve the on-disk format unless
-/// `--format` says otherwise. Binary wins a same-epoch tie, matching
-/// recovery's preference.
-fn detect_format(dir: &Path) -> SnapshotFormat {
-    use semex::journal::segment::parse_snapshot_name;
-    let mut newest: Option<(u64, SnapshotFormat)> = None;
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some((epoch, format)) = name.to_str().and_then(parse_snapshot_name) else {
-                continue;
-            };
-            let better = match newest {
-                None => true,
-                Some((e, _)) => epoch > e || (epoch == e && format == SnapshotFormat::Binary),
-            };
-            if better {
-                newest = Some((epoch, format));
-            }
-        }
-    }
-    newest.map(|(_, f)| f).unwrap_or_default()
-}
-
 fn cmd_build(args: &[String]) -> Result<(), String> {
     let Some((out, rest)) = out_flag(args) else {
         return Err("build requires -o <snapshot.json | journal-dir>".into());
@@ -268,7 +212,6 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         .filter(|a| a.as_str() != "--durable")
         .collect();
     let (rest, config) = recon_threads_flag(rest)?;
-    let (rest, format) = format_flag(rest)?;
     let [dir] = rest.as_slice() else {
         return Err("build requires exactly one directory".into());
     };
@@ -278,25 +221,16 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         .build()
         .map_err(|e| e.to_string())?;
     print_build(&semex);
-    persist(semex, &out, durable, format.unwrap_or_default())
+    persist(semex, &out, durable)
 }
 
 fn cmd_journal_compact(args: &[String]) -> Result<(), String> {
-    let (rest, format) = format_flag(args.iter().collect())?;
-    let [dir] = rest.as_slice() else {
+    let [dir] = args else {
         return Err("journal-compact requires a journal directory".into());
     };
     let dir = dir.as_str();
-    // Without --format, keep the format the space already uses; with it,
-    // this compaction migrates the snapshot to the requested encoding.
-    let format = format.unwrap_or_else(|| detect_format(Path::new(dir)));
-    let journal_config = JournalConfig {
-        snapshot_format: format,
-        ..JournalConfig::default()
-    };
-    let (mut durable, report) =
-        Semex::open_durable_with(Path::new(dir), SemexConfig::default(), journal_config)
-            .map_err(|e| format!("cannot open journal {dir}: {e}"))?;
+    let (mut durable, report) = Semex::open_durable(Path::new(dir), SemexConfig::default())
+        .map_err(|e| format!("cannot open journal {dir}: {e}"))?;
     print_recovery(&report);
     println!(
         "recovered epoch {}: snapshot + {} replayed event(s) across {} segment(s)",
@@ -304,8 +238,8 @@ fn cmd_journal_compact(args: &[String]) -> Result<(), String> {
     );
     let c = durable.compact().map_err(|e| e.to_string())?;
     println!(
-        "compacted into epoch {}: folded {} event(s), removed {} file(s) ({} bytes, {:?} snapshot)",
-        c.epoch, c.folded_events, c.removed_files, c.removed_bytes, format
+        "compacted into epoch {}: folded {} event(s), removed {} file(s) ({} bytes)",
+        c.epoch, c.folded_events, c.removed_files, c.removed_bytes
     );
     Ok(())
 }
@@ -315,7 +249,6 @@ fn cmd_demo(args: &[String]) -> Result<(), String> {
         return Err("demo requires -o <snapshot.json | journal-dir>".into());
     };
     let (rest, config) = recon_threads_flag(rest)?;
-    let (rest, format) = format_flag(rest)?;
     let mut seed = 2005u64;
     let mut scale = 1.0f64;
     let mut durable = false;
@@ -354,7 +287,7 @@ fn cmd_demo(args: &[String]) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     std::fs::remove_dir_all(&dir).ok();
     print_build(&semex);
-    persist(semex, &out, durable, format.unwrap_or_default())
+    persist(semex, &out, durable)
 }
 
 fn print_build(semex: &Semex) {
@@ -695,7 +628,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut addr = "127.0.0.1:7019".to_string();
     let mut tenants: Option<String> = None;
     let mut path: Option<&String> = None;
-    let mut format: Option<SnapshotFormat> = None;
     let mut listen_replication: Option<String> = None;
     let mut replicate_from: Option<String> = None;
     let mut max_lag: u64 = 1024;
@@ -726,13 +658,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             }
             "--follower-name" => {
                 follower_name = Some(it.next().ok_or("--follower-name needs a name")?.clone());
-            }
-            "--format" => {
-                format = Some(match it.next().map(String::as_str) {
-                    Some("json") => SnapshotFormat::Json,
-                    Some("binary" | "bin") => SnapshotFormat::Binary,
-                    _ => return Err("--format needs `json` or `binary`".into()),
-                });
             }
             "--threads" => {
                 config.threads = it
@@ -806,17 +731,13 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("bad primary address {primary:?}: {e}"))?
             .next()
             .ok_or_else(|| format!("primary address {primary:?} resolves to nothing"))?;
-        let journal_config = JournalConfig {
-            snapshot_format: format.unwrap_or_else(|| detect_format(p)),
-            ..JournalConfig::default()
-        };
         let name = follower_name.unwrap_or_else(|| format!("follower-{}", std::process::id()));
         let follower = semex::replica::follow(
             primary_addr,
             p,
             addr.as_str(),
             config,
-            journal_config,
+            JournalConfig::default(),
             max_lag,
             name.clone(),
         )?;
@@ -841,9 +762,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         if path.is_some() {
             return Err("serve takes either a space path or --tenants, not both".into());
         }
-        if let Some(f) = format {
-            pool.journal.snapshot_format = f;
-        }
         let registry =
             TenantRegistry::open(&root).map_err(|e| format!("cannot open registry {root}: {e}"))?;
         let known = registry
@@ -866,13 +784,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         };
         let p = Path::new(path);
         let master = if p.is_dir() {
-            let journal_config = JournalConfig {
-                snapshot_format: format.unwrap_or_else(|| detect_format(p)),
-                ..JournalConfig::default()
-            };
-            let (durable, report) =
-                Semex::open_durable_with(p, SemexConfig::default(), journal_config)
-                    .map_err(|e| format!("cannot open journal {path}: {e}"))?;
+            let (durable, report) = Semex::open_durable(p, SemexConfig::default())
+                .map_err(|e| format!("cannot open journal {path}: {e}"))?;
             print_recovery(&report);
             Master::Durable(durable)
         } else {

@@ -24,6 +24,4 @@ pub use semex_serve as serve;
 pub use semex_similarity as similarity;
 pub use semex_store as store;
 
-pub use semex_core::{
-    DurableSemex, JournalConfig, Semex, SemexBuilder, SemexConfig, SnapshotFormat,
-};
+pub use semex_core::{DurableSemex, JournalConfig, Semex, SemexBuilder, SemexConfig};

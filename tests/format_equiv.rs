@@ -1,11 +1,11 @@
-//! Dual-read equivalence: a space served from a binary snapshot (and its
-//! index sidecar) must answer every query byte-identically to the same
-//! space served from the JSON heap path, across commits, reopens, and
-//! compactions — and the epochs must march in lockstep.
+//! Persistence equivalence: a durable space, recovered from its binary
+//! snapshot (and index sidecar) plus journal replay, must answer every
+//! query byte-identically to a never-persisted in-memory twin built and
+//! written the same way, across commits, reopens, and compactions.
 
 use semex::core::SourceSpec;
 use semex::corpus::{generate_personal, CorpusConfig};
-use semex::{JournalConfig, Semex, SemexBuilder, SemexConfig, SnapshotFormat};
+use semex::{JournalConfig, Semex, SemexBuilder, SemexConfig};
 use std::path::{Path, PathBuf};
 
 fn scratch(tag: &str) -> PathBuf {
@@ -18,12 +18,17 @@ fn scratch(tag: &str) -> PathBuf {
     p
 }
 
-fn config(format: SnapshotFormat) -> JournalConfig {
+fn config() -> JournalConfig {
     JournalConfig {
         fsync: false,
-        snapshot_format: format,
         ..JournalConfig::default()
     }
+}
+
+fn open(dir: &Path) -> semex::DurableSemex {
+    Semex::open_durable_with(dir, SemexConfig::default(), config())
+        .unwrap()
+        .0
 }
 
 /// Render the corpus exactly once per process: extraction records absolute
@@ -89,158 +94,80 @@ fn sidecar_files(dir: &Path) -> Vec<String> {
 }
 
 #[test]
-fn binary_and_json_twins_stay_byte_identical() {
-    let json_dir = scratch("twin-json");
-    let bin_dir = scratch("twin-bin");
-    let semex = built();
-    let twin = built();
-
-    // Seed twin journals, one per format.
-    let d_json = semex
-        .into_durable(&json_dir, config(SnapshotFormat::Json))
-        .unwrap();
-    let d_bin = twin
-        .into_durable(&bin_dir, config(SnapshotFormat::Binary))
-        .unwrap();
-    assert_eq!(d_json.journal().epoch(), d_bin.journal().epoch());
-    assert_equiv(&d_json, &d_bin, "after init");
+fn durable_space_matches_its_in_memory_twin() {
+    let dir = scratch("twin");
+    // The oracle: the same build, never persisted.
+    let mut oracle = built();
+    let d = built().into_durable(&dir, config()).unwrap();
+    assert_eq!(d.journal().epoch(), 0);
+    assert_equiv(&d, &oracle, "after init");
     assert_eq!(
-        sidecar_files(&bin_dir),
+        sidecar_files(&dir),
         vec!["index-0000000000.idx".to_string()],
-        "binary init writes the index sidecar"
+        "init writes the index sidecar"
     );
-    assert!(
-        sidecar_files(&json_dir).is_empty(),
-        "the JSON path has no sidecar"
-    );
-    drop(d_json);
-    drop(d_bin);
+    drop(d);
 
-    // Cold reopen: JSON recovers via the heap decode + index rebuild;
-    // binary maps the snapshot and restores the sidecar. Same answers.
-    let (mut d_json, r1) = Semex::open_durable_with(
-        &json_dir,
-        SemexConfig::default(),
-        config(SnapshotFormat::Json),
-    )
-    .unwrap();
-    let (mut d_bin, r2) = Semex::open_durable_with(
-        &bin_dir,
-        SemexConfig::default(),
-        config(SnapshotFormat::Binary),
-    )
-    .unwrap();
-    assert_eq!(r1.epoch, r2.epoch);
-    assert_equiv(&d_json, &d_bin, "after cold reopen");
+    // Cold reopen: the snapshot is decoded and the sidecar restored.
+    let mut d = open(&dir);
+    assert_equiv(&d, &oracle, "after cold reopen");
 
-    // Identical writes on both twins, committed.
+    // Identical writes on both, committed on the durable one.
     let vcf = "BEGIN:VCARD\nFN:Nova Garcia\nEMAIL:nova@example.edu\nEND:VCARD\n";
-    for d in [&mut d_json, &mut d_bin] {
-        d.ingest(SourceSpec::Vcard {
-            name: "late-contacts".into(),
-            content: vcf.into(),
-        })
-        .unwrap();
-        d.commit().unwrap();
-    }
-    assert_equiv(&d_json, &d_bin, "after identical writes");
-    drop(d_json);
-    drop(d_bin);
+    let late = || SourceSpec::Vcard {
+        name: "late-contacts".into(),
+        content: vcf.into(),
+    };
+    d.ingest(late()).unwrap();
+    d.commit().unwrap();
+    oracle.ingest(late()).unwrap();
+    assert_equiv(&d, &oracle, "after identical writes");
+    drop(d);
 
-    // Reopen again: binary's sidecar is now *behind* the journal tail, so
-    // the restore must fold the replayed events in — still identical.
-    let (mut d_json, _) = Semex::open_durable_with(
-        &json_dir,
-        SemexConfig::default(),
-        config(SnapshotFormat::Json),
-    )
-    .unwrap();
-    let (mut d_bin, _) = Semex::open_durable_with(
-        &bin_dir,
-        SemexConfig::default(),
-        config(SnapshotFormat::Binary),
-    )
-    .unwrap();
-    assert_equiv(&d_json, &d_bin, "after reopen with journal tail");
+    // Reopen again: the sidecar is now *behind* the journal tail, so the
+    // restore must fold the replayed events in — still identical.
+    let mut d = open(&dir);
+    assert_equiv(&d, &oracle, "after reopen with journal tail");
 
-    // Compaction advances the epochs in lockstep and re-stamps the sidecar.
-    let c1 = d_json.compact().unwrap();
-    let c2 = d_bin.compact().unwrap();
-    assert_eq!(c1.epoch, c2.epoch);
-    assert_eq!(d_json.journal().epoch(), d_bin.journal().epoch());
-    assert_equiv(&d_json, &d_bin, "after compaction");
+    // Compaction advances the epoch and re-stamps the sidecar.
+    let c = d.compact().unwrap();
+    assert_eq!(c.epoch, 1);
+    assert_eq!(d.journal().epoch(), 1);
+    assert_equiv(&d, &oracle, "after compaction");
     assert_eq!(
-        sidecar_files(&bin_dir),
-        vec![format!("index-{:010}.idx", c2.epoch)],
+        sidecar_files(&dir),
+        vec![format!("index-{:010}.idx", c.epoch)],
         "compaction replaces the sidecar"
     );
-    drop(d_json);
-    drop(d_bin);
+    drop(d);
 
-    let (d_json, _) = Semex::open_durable_with(
-        &json_dir,
-        SemexConfig::default(),
-        config(SnapshotFormat::Json),
-    )
-    .unwrap();
-    let (d_bin, _) = Semex::open_durable_with(
-        &bin_dir,
-        SemexConfig::default(),
-        config(SnapshotFormat::Binary),
-    )
-    .unwrap();
-    assert_equiv(&d_json, &d_bin, "after post-compaction reopen");
-
-    std::fs::remove_dir_all(&json_dir).ok();
-    std::fs::remove_dir_all(&bin_dir).ok();
+    assert_equiv(&open(&dir), &oracle, "after post-compaction reopen");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn sidecar_restore_equals_index_rebuild() {
     let dir = scratch("restore-vs-rebuild");
-    let semex = built();
-    let d = semex
-        .into_durable(&dir, config(SnapshotFormat::Binary))
-        .unwrap();
-    drop(d);
+    drop(built().into_durable(&dir, config()).unwrap());
+    let restored = open(&dir);
 
-    // Opening the same binary space with the JSON config still reads the
-    // binary snapshot but skips the sidecar, forcing a full index rebuild:
-    // the restored index must be indistinguishable from the rebuilt one.
-    let (restored, _) =
-        Semex::open_durable_with(&dir, SemexConfig::default(), config(SnapshotFormat::Binary))
-            .unwrap();
-    let (rebuilt, _) =
-        Semex::open_durable_with(&dir, SemexConfig::default(), config(SnapshotFormat::Json))
-            .unwrap();
-    assert_equiv(&restored, &rebuilt, "sidecar restore vs rebuild");
-    drop(rebuilt);
-
-    // A stale (deleted) sidecar is only advisory: the open falls back to a
-    // rebuild and answers identically.
+    // Without its sidecar the open rebuilds the index from the store: the
+    // restored index must be indistinguishable from the rebuilt one. (The
+    // sidecar is only advisory.)
     let side = dir.join("index-0000000000.idx");
     assert!(side.exists());
     std::fs::remove_file(&side).unwrap();
-    let (fallback, _) =
-        Semex::open_durable_with(&dir, SemexConfig::default(), config(SnapshotFormat::Binary))
-            .unwrap();
-    assert_equiv(&restored, &fallback, "missing sidecar falls back");
+    let rebuilt = open(&dir);
+    assert_equiv(&restored, &rebuilt, "sidecar restore vs rebuild");
+    drop(rebuilt);
 
-    // A corrupted sidecar must never poison the open either.
-    let bytes = {
-        let d2 = fallback;
-        // The fallback open rebuilt and re-wrote the sidecar; corrupt it.
-        drop(d2);
-        let mut b = std::fs::read(&side).unwrap();
-        let mid = b.len() / 2;
-        b[mid] ^= 0xFF;
-        b
-    };
+    // The rebuilding open re-wrote the sidecar; a corrupted one must never
+    // poison the open either.
+    let mut bytes = std::fs::read(&side).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
     std::fs::write(&side, &bytes).unwrap();
-    let (corrupted, _) =
-        Semex::open_durable_with(&dir, SemexConfig::default(), config(SnapshotFormat::Binary))
-            .unwrap();
-    assert_equiv(&restored, &corrupted, "corrupt sidecar falls back");
+    assert_equiv(&restored, &open(&dir), "corrupt sidecar falls back");
 
     std::fs::remove_dir_all(&dir).ok();
 }
