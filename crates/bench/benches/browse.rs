@@ -2,10 +2,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use semex_bench::extract_corpus;
-use semex_browse::pattern::{query, Pattern, Term};
-use semex_browse::Browser;
 use semex_corpus::{generate_personal, CorpusConfig};
 use semex_model::names::{assoc, class, derived};
+use semex_query::join::{query, Pattern, Term};
+use semex_query::summary;
 use semex_recon::{reconcile, ReconConfig, Variant};
 use semex_store::{ObjectId, Store};
 
@@ -28,12 +28,11 @@ fn people(store: &Store, n: usize) -> Vec<ObjectId> {
 fn bench_neighborhood(c: &mut Criterion) {
     let store = store();
     let ppl = people(&store, 50);
-    let browser = Browser::new(&store);
     c.bench_function("browse_neighborhood", |b| {
         b.iter(|| {
             let mut total = 0;
             for &p in &ppl {
-                total += browser.neighborhood(p).len();
+                total += summary::neighborhood(&store, p).len();
             }
             total
         });
@@ -43,13 +42,12 @@ fn bench_neighborhood(c: &mut Criterion) {
 fn bench_derived(c: &mut Criterion) {
     let store = store();
     let ppl = people(&store, 50);
-    let browser = Browser::new(&store);
     for name in [derived::CO_AUTHOR, derived::CORRESPONDED_WITH] {
         c.bench_function(format!("browse_derived_{name}"), |b| {
             b.iter(|| {
                 let mut total = 0;
                 for &p in &ppl {
-                    total += browser.derived_by_name(p, name).unwrap().len();
+                    total += summary::derived(&store, p, name).unwrap().len();
                 }
                 total
             });
@@ -60,12 +58,11 @@ fn bench_derived(c: &mut Criterion) {
 fn bench_path(c: &mut Criterion) {
     let store = store();
     let ppl = people(&store, 20);
-    let browser = Browser::new(&store);
     c.bench_function("browse_path_between", |b| {
         b.iter(|| {
             let mut found = 0;
             for w in ppl.windows(2) {
-                if browser.path_between(w[0], w[1], 4).is_some() {
+                if summary::shortest_path(&store, w[0], w[1], 4).is_some() {
                     found += 1;
                 }
             }
@@ -87,7 +84,7 @@ fn bench_pattern_query(c: &mut Criterion) {
                     Pattern::new(Term::var("pub"), published, Term::var("v")),
                 ],
             )
-            .len()
+            .map_or(0, |rows| rows.len())
         });
     });
 }

@@ -6,13 +6,15 @@
 //! cargo run -p semex-bench --release --bin experiments -- e3 e5
 //! ```
 
-use semex_bench::{extract_bib_str, extract_corpus, label_references, labels_of_kind, TextTable};
-use semex_browse::Browser;
+use semex_bench::{
+    extract_bib_str, extract_corpus, fragmentation, label_references, labels_of_kind, TextTable,
+};
 use semex_corpus::{generate_cora, generate_personal, CoraConfig, CorpusConfig, EntityKind};
 use semex_index::SearchIndex;
 use semex_integrate::SchemaMatcher;
 use semex_model::names::{attr, class, derived};
 use semex_model::Value;
+use semex_query::summary;
 use semex_recon::{pair_metrics, reconcile, Metrics, ReconConfig, Variant};
 use semex_store::{Store, StoreStats};
 use std::time::Instant;
@@ -230,9 +232,9 @@ fn e2_consolidation() {
         .map(|c| store.class_count(store.model().class(c).unwrap()))
         .collect();
     let c_person = store.model().class(class::PERSON).unwrap();
-    let frag_before = semex_browse::analyze::fragmentation(&store, c_person);
+    let frag_before = fragmentation(&store, c_person);
     let report = reconcile(&mut store, Variant::Full, &ReconConfig::default());
-    let frag_after = semex_browse::analyze::fragmentation(&store, c_person);
+    let frag_after = fragmentation(&store, c_person);
     let after: Vec<usize> = classes
         .iter()
         .map(|c| store.class_count(store.model().class(c).unwrap()))
@@ -560,27 +562,26 @@ fn e7_browsing() {
         let corpus = generate_personal(&cfg);
         let mut store = extract_corpus(&corpus);
         reconcile(&mut store, Variant::Full, &ReconConfig::default());
-        let browser = Browser::new(&store);
         let c_person = store.model().class(class::PERSON).unwrap();
         let people: Vec<_> = store.objects_of_class(c_person).take(100).collect();
 
         let t0 = Instant::now();
         let mut links = 0usize;
         for &p in &people {
-            links += browser.neighborhood(p).len();
+            links += summary::neighborhood(&store, p).len();
         }
         let neigh_us = t0.elapsed().as_secs_f64() * 1e6 / people.len() as f64;
 
         let t0 = Instant::now();
         for &p in &people {
-            let _ = browser.derived_by_name(p, derived::CO_AUTHOR).unwrap();
+            let _ = summary::derived(&store, p, derived::CO_AUTHOR).unwrap();
         }
         let coauthor_us = t0.elapsed().as_secs_f64() * 1e6 / people.len() as f64;
 
         let pairs: Vec<_> = people.windows(2).take(25).collect();
         let t0 = Instant::now();
         for w in &pairs {
-            let _ = browser.path_between(w[0], w[1], 4);
+            let _ = summary::shortest_path(&store, w[0], w[1], 4);
         }
         let path_us = t0.elapsed().as_secs_f64() * 1e6 / pairs.len() as f64;
 
@@ -1849,11 +1850,9 @@ fn e14_tenants(smoke: bool) {
         },
     });
     let record = serde_json::to_string_pretty(&bench).expect("bench record serializes");
-    if let Err(e) = std::fs::write("BENCH_tenants.json", record) {
-        eprintln!("could not write BENCH_tenants.json: {e}\n");
-    } else {
+    if let Some(path) = write_bench("BENCH_tenants.json", smoke, &record) {
         println!(
-            "wrote BENCH_tenants.json ({tenants} tenants, {} evictions, {ratio:.2}x isolation)\n",
+            "wrote {path} ({tenants} tenants, {} evictions, {ratio:.2}x isolation)\n",
             report.tenants.evictions
         );
     }
@@ -1993,13 +1992,8 @@ fn e15_snapshot(smoke: bool) {
         "scales": records,
     });
     let record = serde_json::to_string_pretty(&bench).expect("bench record serializes");
-    if let Err(e) = std::fs::write("BENCH_snapshot.json", record) {
-        eprintln!("could not write BENCH_snapshot.json: {e}\n");
-    } else {
-        println!(
-            "wrote BENCH_snapshot.json ({mode}, {} rows)\n",
-            scales.len()
-        );
+    if let Some(path) = write_bench("BENCH_snapshot.json", smoke, &record) {
+        println!("wrote {path} ({mode}, {} rows)\n", scales.len());
     }
 }
 
@@ -2350,11 +2344,9 @@ fn e16_cache(smoke: bool) {
         },
     });
     let record = serde_json::to_string_pretty(&bench).expect("bench record serializes");
-    if let Err(e) = std::fs::write("BENCH_cache.json", record) {
-        eprintln!("could not write BENCH_cache.json: {e}\n");
-    } else {
+    if let Some(path) = write_bench("BENCH_cache.json", smoke, &record) {
         println!(
-            "wrote BENCH_cache.json ({mode}, {:.1}% hits, {speedup:.1}x p50)\n",
+            "wrote {path} ({mode}, {:.1}% hits, {speedup:.1}x p50)\n",
             hit_rate * 100.0
         );
     }
@@ -2676,11 +2668,9 @@ fn e17_replica(smoke: bool) {
         "throughput_scaling_at_max": scaling,
     });
     let record = serde_json::to_string_pretty(&verdicts).expect("bench record serializes");
-    if let Err(e) = std::fs::write("BENCH_replica.json", record) {
-        eprintln!("could not write BENCH_replica.json: {e}\n");
-    } else {
+    if let Some(path) = write_bench("BENCH_replica.json", smoke, &record) {
         println!(
-            "wrote BENCH_replica.json ({mode}, {max_followers} follower(s), \
+            "wrote {path} ({mode}, {max_followers} follower(s), \
              {scaling:.2}x at max scale)\n"
         );
     }
@@ -3017,10 +3007,24 @@ fn e18_query(smoke: bool) {
         },
     });
     let record = serde_json::to_string_pretty(&bench).expect("bench record serializes");
-    if let Err(e) = std::fs::write("BENCH_query.json", record) {
-        eprintln!("could not write BENCH_query.json: {e}\n");
-    } else {
-        println!("wrote BENCH_query.json ({mode}, {uplift:.1}x cached uplift)\n");
+    if let Some(path) = write_bench("BENCH_query.json", smoke, &record) {
+        println!("wrote {path} ({mode}, {uplift:.1}x cached uplift)\n");
+    }
+}
+
+/// Write an experiment's BENCH record and return the path written. Full
+/// runs write the committed `BENCH_*.json` in the working directory (the
+/// repository root); smoke runs write `target/bench-smoke/BENCH_*.json`,
+/// so a CI pass leaves tracked files alone.
+fn write_bench(name: &str, smoke: bool, record: &str) -> Option<String> {
+    let dir = if smoke { "target/bench-smoke" } else { "." };
+    let path = format!("{dir}/{name}");
+    match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, record)) {
+        Ok(()) => Some(path),
+        Err(e) => {
+            eprintln!("could not write {path}: {e}\n");
+            None
+        }
     }
 }
 

@@ -1,13 +1,13 @@
 //! The [`Semex`] facade: search, browse, integrate, inspect, persist.
 
 use crate::pipeline::{BuildReport, SemexConfig};
-use semex_browse::{Browser, Link};
 use semex_extract::csv::{parse_csv, Table};
 use semex_index::SearchIndex;
 use semex_integrate::{import, ImportReport, SchemaMatcher};
 use semex_journal::{
     CompactionReport, DurableStore, Journal, JournalConfig, JournalError, JournalIo, RecoveryReport,
 };
+use semex_query::summary::{neighborhood, Link};
 use semex_store::{ObjectId, SnapshotError, Store, StoreEvent, StoreStats};
 use std::fmt;
 
@@ -94,7 +94,7 @@ fn view_of(store: &Store, obj: ObjectId) -> ObjectView {
         label: store.label(obj),
         class: model.class_def(o.class).name.clone(),
         attrs,
-        links: Browser::new(store).neighborhood(obj),
+        links: neighborhood(store, obj),
         sources,
     }
 }
@@ -150,11 +150,6 @@ impl Snapshot {
     /// The keyword index at snapshot time.
     pub fn index(&self) -> &SearchIndex {
         &self.index
-    }
-
-    /// A browser over the snapshot's association database.
-    pub fn browser(&self) -> Browser<'_> {
-        Browser::new(&self.store)
     }
 
     /// Keyword search (pruned top-k evaluator); see [`Semex::search`].
@@ -340,11 +335,6 @@ impl Semex {
     /// The active configuration.
     pub fn config(&self) -> &SemexConfig {
         &self.config
-    }
-
-    /// A browser over the association database.
-    pub fn browser(&self) -> Browser<'_> {
-        Browser::new(&self.store)
     }
 
     /// Keyword search: top-`k` objects for a query string (supports the

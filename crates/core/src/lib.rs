@@ -14,9 +14,10 @@
 //! sources (mbox archives, vCard files, BibTeX bibliographies, LaTeX
 //! sources, whole directory trees), then [`SemexBuilder::build`] extracts
 //! everything, runs reference reconciliation, and indexes the resulting
-//! objects. The built [`Semex`] answers keyword [`Semex::search`], exposes a
-//! [`semex_browse::Browser`] for association navigation, folds external
-//! tables in on the fly ([`Semex::integrate`]) and snapshots to disk.
+//! objects. The built [`Semex`] answers keyword [`Semex::search`], shows an
+//! object with its labelled associations ([`Semex::view`], browsed through
+//! [`semex_query::summary`]), folds external tables in on the fly
+//! ([`Semex::integrate`]) and snapshots to disk.
 //!
 //! ```
 //! use semex_core::SemexBuilder;

@@ -3,8 +3,9 @@
 //! SEMEX's browsing power comes from associations the user never extracted
 //! directly: `CoAuthor` is derived by composing `AuthoredBy` backwards and
 //! forwards through Publication instances. A [`DerivedDef`] names such an
-//! association and gives the rule ([`PathExpr`]) that computes it; the
-//! `semex-browse` crate evaluates rules against a store.
+//! association and gives the rule ([`PathExpr`]) that computes it;
+//! `semex-query` compiles rules to path steps and evaluates them against a
+//! store.
 
 use crate::{AssocId, ClassId};
 use serde::{Deserialize, Serialize};

@@ -1,4 +1,4 @@
-//! Analysis over the association database.
+//! Analyses over the association database.
 //!
 //! The platform paper's point is that once personal information is a
 //! *database*, the user can analyze it, not just retrieve from it. This
@@ -10,11 +10,9 @@
 //! * [`timeline`] — bucket an object's dated neighbourhood (messages,
 //!   events, files) into monthly activity counts;
 //! * [`communities`] — connected components of a derived association
-//!   (e.g. `CoAuthor`), surfacing research groups / social circles;
-//! * [`fragmentation`] — the paper's motivating measure: surface forms and
-//!   provenance sources per entity, before vs. after reconciliation.
+//!   (e.g. `CoAuthor`), surfacing research groups / social circles.
 
-use crate::Browser;
+use crate::summary::{adjacent, derived_of};
 use semex_model::names::attr;
 use semex_model::{ClassId, DerivedDef};
 use semex_store::{ObjectId, Store};
@@ -32,7 +30,6 @@ pub fn importance(
     iterations: usize,
     top_k: usize,
 ) -> Vec<(ObjectId, f64)> {
-    let model = store.model();
     let members: Vec<ObjectId> = store.objects_of_class(class).collect();
     if members.is_empty() {
         return Vec::new();
@@ -43,35 +40,20 @@ pub fn importance(
     // Neighbour lists within any class (importance flows through shared
     // artifacts: person -> message -> person, person -> publication ->
     // person, one hop out and back).
-    let mut neighbor_objs: Vec<Vec<ObjectId>> = vec![Vec::new(); members.len()];
-    let mut degree = vec![0.0f64; members.len()];
-    for (i, &obj) in members.iter().enumerate() {
-        for (assoc, _) in model.assocs() {
-            for &n in store
-                .neighbors(obj, assoc)
-                .iter()
-                .chain(store.inverse_neighbors(obj, assoc))
-            {
-                degree[i] += 1.0;
-                neighbor_objs[i].push(n);
-            }
-        }
-    }
+    let neighbor_objs: Vec<Vec<ObjectId>> = members
+        .iter()
+        .map(|&obj| adjacent(store, obj).collect())
+        .collect();
+    let degree: Vec<f64> = neighbor_objs.iter().map(|ns| ns.len() as f64).collect();
 
     // Project two-hop, same-class neighbours (through any shared artifact).
     let mut peers: Vec<Vec<usize>> = vec![Vec::new(); members.len()];
     for (i, ns) in neighbor_objs.iter().enumerate() {
         for &artifact in ns {
-            for (assoc, _) in model.assocs() {
-                for &m in store
-                    .neighbors(artifact, assoc)
-                    .iter()
-                    .chain(store.inverse_neighbors(artifact, assoc))
-                {
-                    if let Some(&j) = index.get(&m) {
-                        if j != i {
-                            peers[i].push(j);
-                        }
+            for m in adjacent(store, artifact) {
+                if let Some(&j) = index.get(&m) {
+                    if j != i {
+                        peers[i].push(j);
                     }
                 }
             }
@@ -112,10 +94,9 @@ pub fn importance(
 pub fn timeline(store: &Store, obj: ObjectId) -> Vec<((i64, u32), usize)> {
     let model = store.model();
     let a_date = model.attr(attr::DATE).expect("builtin date");
-    let b = Browser::new(store);
     let mut buckets: HashMap<(i64, u32), usize> = HashMap::new();
-    for link in b.neighborhood(obj) {
-        let neighbor = store.object(link.target);
+    for neighbor in adjacent(store, obj) {
+        let neighbor = store.object(neighbor);
         if let Some(epoch) = neighbor.values(a_date).find_map(|v| v.as_date()) {
             buckets
                 .entry(year_month(epoch))
@@ -143,57 +124,9 @@ pub fn year_month(epoch: i64) -> (i64, u32) {
     (y, m)
 }
 
-/// The paper's motivating measure: how fragmented is the information about
-/// each entity? Computed over a class's live objects.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FragmentationStats {
-    /// Live objects of the class.
-    pub entities: usize,
-    /// Mean distinct surface forms (label-attribute values) per object —
-    /// before reconciliation this is ~1 by construction; after, it shows
-    /// how many spellings each consolidated entity pooled.
-    pub avg_forms: f64,
-    /// Mean distinct provenance sources per object.
-    pub avg_sources: f64,
-    /// Fraction of objects whose facts span more than one source — the
-    /// cross-application fragmentation SEMEX exists to heal.
-    pub cross_source_fraction: f64,
-}
-
-/// Compute [`FragmentationStats`] for a class.
-pub fn fragmentation(store: &Store, class: ClassId) -> FragmentationStats {
-    let model = store.model();
-    let label_attr = model.class_def(class).label_attr;
-    let mut entities = 0usize;
-    let mut forms = 0usize;
-    let mut sources = 0usize;
-    let mut cross = 0usize;
-    for obj in store.objects_of_class(class) {
-        entities += 1;
-        let o = store.object(obj);
-        if let Some(a) = label_attr {
-            forms += o.values(a).count().max(1);
-        } else {
-            forms += 1;
-        }
-        sources += o.sources.len().max(1);
-        if o.sources.len() > 1 {
-            cross += 1;
-        }
-    }
-    let n = entities.max(1) as f64;
-    FragmentationStats {
-        entities,
-        avg_forms: forms as f64 / n,
-        avg_sources: sources as f64 / n,
-        cross_source_fraction: cross as f64 / n,
-    }
-}
-
 /// Connected components of a derived association over its domain class,
 /// largest first. Singleton components are omitted.
 pub fn communities(store: &Store, def: &DerivedDef) -> Vec<Vec<ObjectId>> {
-    let b = Browser::new(store);
     let members: Vec<ObjectId> = store.objects_of_class(def.domain).collect();
     let index: HashMap<ObjectId, usize> =
         members.iter().enumerate().map(|(i, &o)| (o, i)).collect();
@@ -206,7 +139,7 @@ pub fn communities(store: &Store, def: &DerivedDef) -> Vec<Vec<ObjectId>> {
         x
     }
     for (i, &obj) in members.iter().enumerate() {
-        for peer in b.derived(obj, def) {
+        for peer in derived_of(store, obj, def) {
             if let Some(&j) = index.get(&peer) {
                 let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
                 if ri != rj {
@@ -322,24 +255,6 @@ mod tests {
         assert_eq!(year_month(1_110_844_800), (2005, 3));
         // Negative epochs (pre-1970) stay civil.
         assert_eq!(year_month(-86_400), (1969, 12));
-    }
-
-    #[test]
-    fn fragmentation_reflects_merging() {
-        let mut st = store();
-        let c_person = st.model().class(class::PERSON).unwrap();
-        let before = fragmentation(&st, c_person);
-        assert!((before.avg_forms - 1.0).abs() < 0.2, "{before:?}");
-        // Merge the two Hub Person references: forms per entity rise,
-        // entity count falls.
-        let hubs: Vec<ObjectId> = st
-            .objects_of_class(c_person)
-            .filter(|&p| st.label(p) == "Hub Person")
-            .collect();
-        st.merge(hubs[0], hubs[1]).unwrap();
-        let after = fragmentation(&st, c_person);
-        assert_eq!(after.entities, before.entities - 1);
-        assert!(after.avg_forms >= before.avg_forms);
     }
 
     #[test]

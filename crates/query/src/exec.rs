@@ -263,6 +263,26 @@ fn charge(budget: &mut usize, produced: usize, cfg: &ExecConfig) -> Result<(), E
     Ok(())
 }
 
+/// One object's neighbours over one association, alias-resolved, at most
+/// `fanout` of them in stored (hence deterministic) order. This is the
+/// single neighbour-expansion step: [`expand_hop`] applies it to a
+/// frontier, and browsing and pattern joins apply it to one object
+/// without allocating.
+pub(crate) fn hop_targets(
+    store: &Store,
+    src: ObjectId,
+    dir: Dir,
+    assoc: semex_model::AssocId,
+    fanout: Option<usize>,
+) -> impl Iterator<Item = ObjectId> + '_ {
+    let neighbors = match dir {
+        Dir::Forward => store.neighbors(src, assoc),
+        Dir::Inverse => store.inverse_neighbors(src, assoc),
+    };
+    let take = fanout.unwrap_or(neighbors.len()).min(neighbors.len());
+    neighbors[..take].iter().map(|&t| store.resolve(t))
+}
+
 /// Expand one hop over the whole frontier, splitting large frontiers
 /// across scoped worker threads. Chunks are concatenated in frontier
 /// order and the caller sorts + dedups, so the result is independent of
@@ -276,12 +296,7 @@ pub(crate) fn expand_hop(
     threads: usize,
 ) -> Vec<ObjectId> {
     let expand_into = |src: ObjectId, out: &mut Vec<ObjectId>| {
-        let neighbors = match dir {
-            Dir::Forward => store.neighbors(src, assoc),
-            Dir::Inverse => store.inverse_neighbors(src, assoc),
-        };
-        let take = fanout.unwrap_or(neighbors.len()).min(neighbors.len());
-        out.extend(neighbors[..take].iter().map(|&t| store.resolve(t)));
+        out.extend(hop_targets(store, src, dir, assoc, fanout));
     };
     if threads <= 1 || frontier.len() < PAR_MIN_FRONTIER {
         let mut out = Vec::new();

@@ -29,15 +29,20 @@
 //!   fingerprint, position)`; replayed at the same epoch it reproduces
 //!   the next page byte-for-byte, at any other epoch it is refused as
 //!   expired.
-//! - [`join`] / [`summary`] — the legacy triple-pattern and
-//!   neighbourhood-browse surfaces re-expressed on the same traversal
-//!   core, answer-identical to their `semex-browse` originals.
+//! - [`join`] — conjunctive triple patterns (`?pub AuthoredBy ?p . …`)
+//!   evaluated on the same traversal core, under the same node budget.
+//! - [`summary`] — browsing by association: an object's labelled
+//!   neighbourhood, derived associations such as `CoAuthor`, and the
+//!   shortest connection path between two objects.
+//! - [`analyze`] — analyses over the association database: importance
+//!   ranking, activity timelines and derived-association communities.
 //!
 //! The engine reads only `&`[`Store`](semex_store::Store) — in serving,
 //! the store inside the `Arc<EpochSnapshot>` a tenant's writer publishes
 //! — so queries run lock-free against immutable data and an epoch number
 //! fully identifies the answer.
 
+pub mod analyze;
 pub mod cursor;
 pub mod exec;
 pub mod join;

@@ -398,7 +398,7 @@ impl Parser<'_> {
 
 /// Inline a derived association's rule as engine steps. `Dir::Inverse`
 /// traverses the rule backwards (each path reversed, hops flipped).
-fn compile_rule(rule: &PathExpr, dir: Dir) -> Vec<Step> {
+pub(crate) fn compile_rule(rule: &PathExpr, dir: Dir) -> Vec<Step> {
     match rule {
         PathExpr::Path(path) => {
             let hop = |s: &PathStep| match (s, dir) {

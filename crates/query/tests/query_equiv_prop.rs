@@ -1,6 +1,6 @@
 //! Equivalence properties for the path engine.
 //!
-//! Three families over random graphs (with random alias merges) and
+//! Four families over random graphs (with random alias merges) and
 //! random plans:
 //!
 //! 1. The engine equals an independent brute-force reference walk — at
@@ -12,13 +12,21 @@
 //! 2. Cursor pagination at any page size stitches to exactly the
 //!    unpaginated run, and replaying any page at the same epoch is
 //!    identical.
-//! 3. The engine-side pattern join equals `semex_browse::pattern::query`
-//!    on random conjunctive queries over the same graphs.
+//! 3. The pattern join equals the original backtracking join
+//!    (`oracle::query`) on random conjunctive queries over the same graphs.
+//! 4. The browsing functions equal the original association browser
+//!    (`oracle::Browser`): neighbourhoods and their summaries from every
+//!    object slot, every derived association of the model, and shortest
+//!    connection paths at several depth caps, self-paths included.
 
+mod oracle;
+
+use oracle::Browser;
 use proptest::prelude::*;
 use semex_model::names::{assoc, attr, class};
 use semex_model::{AssocId, ClassId, Value};
 use semex_query::exec::{run, run_page};
+use semex_query::summary;
 use semex_query::{Cursor, Dir, ExecConfig, Filter, PathQuery, Start, Step};
 use semex_store::{ObjectId, SourceInfo, SourceKind, Store};
 use std::collections::BTreeSet;
@@ -427,11 +435,11 @@ proptest! {
         }
     }
 
-    /// The engine-side conjunctive join equals the browse-layer original
-    /// on random pattern queries — including self-loop variables and
+    /// The conjunctive join equals the original backtracking join on
+    /// random pattern queries — including self-loop variables and
     /// patterns whose variables revisit through inverse hops.
     #[test]
-    fn pattern_join_matches_browse_original(
+    fn pattern_join_matches_the_original_join(
         spec in graph_strategy(24),
         picks in prop::collection::vec((0..3u8, 0..4u8, 0..4u8), 1..4),
     ) {
@@ -451,8 +459,56 @@ proptest! {
             .collect::<Vec<_>>()
             .join(" . ");
         let engine = semex_query::join::query_str(&st, &text).unwrap();
-        let browse = semex_browse::pattern::query_str(&st, &text).unwrap();
-        prop_assert_eq!(engine, browse, "{}", text);
+        let patterns = semex_query::join::parse_patterns(&st, &text).unwrap();
+        prop_assert_eq!(engine, oracle::query(&st, &patterns), "{}", text);
+    }
+
+    /// Neighbourhoods, their label summaries and every derived association
+    /// of the model equal the original browser's, from every object slot
+    /// (merged-away aliases included).
+    #[test]
+    fn browsing_matches_the_original_browser(spec in graph_strategy(24)) {
+        let st = build(&spec);
+        let browser = Browser::new(&st);
+        for obj in (0..st.slot_count() as u64).map(ObjectId) {
+            prop_assert_eq!(summary::neighborhood(&st, obj), browser.neighborhood(obj));
+            prop_assert_eq!(
+                summary::neighborhood_summary(&st, obj),
+                browser.neighborhood_summary(obj)
+            );
+            for def in st.model().deriveds() {
+                prop_assert_eq!(
+                    summary::derived(&st, obj, &def.name),
+                    browser.derived_by_name(obj, &def.name),
+                    "{} from {}", def.name, obj
+                );
+            }
+        }
+    }
+
+    /// Shortest paths equal the original breadth-first search — same
+    /// nodes, same edge labels, same tie-breaks — at several depth caps,
+    /// self-paths and unreachable pairs included.
+    #[test]
+    fn shortest_paths_match_the_original_browser(
+        spec in graph_strategy(24),
+        pairs in prop::collection::vec((0..64usize, 0..64usize), 1..6),
+    ) {
+        let st = build(&spec);
+        let browser = Browser::new(&st);
+        let slots = st.slot_count();
+        for (a, b) in pairs {
+            let (from, to) = (ObjectId((a % slots) as u64), ObjectId((b % slots) as u64));
+            for depth in [0usize, 1, 2, 3, 6] {
+                for (x, y) in [(from, to), (from, from)] {
+                    prop_assert_eq!(
+                        summary::shortest_path(&st, x, y, depth),
+                        browser.path_between(x, y, depth),
+                        "{} -> {} within {}", x, y, depth
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -35,6 +35,7 @@ use crate::role::{CommitTap, ReplicaRole};
 use crate::writer::{pool_worker, WriteCommand, WriteJob, WriterReport, WriterStats};
 use semex_cache::{CacheKey, TenantCacheStats};
 use semex_query::exec::run_page;
+use semex_query::join::JoinError;
 use semex_query::{Cursor, CursorError, ExecConfig, PageError};
 use semex_tenant::{
     EnqueueError, EpochSnapshot, Master, PoolConfig, PoolReport, PoolSnapshot, Tenant, TenantError,
@@ -843,9 +844,8 @@ fn execute_read(
             }
         }
         // Pattern queries evaluate on the path engine's traversal core
-        // (`semex_query::join`), answer-identical to the original
-        // `semex_browse::pattern` evaluator — the equivalence suites pin
-        // that. A malformed pattern is a typed `invalid_query`.
+        // (`semex_query::join`) under its node budget. A malformed pattern
+        // and an over-budget join are both a typed `invalid_query`.
         Request::Query { pattern } => match semex_query::join::query_str(snap.store(), pattern) {
             Ok(bindings) => Response::Solutions {
                 epoch,
@@ -863,7 +863,8 @@ fn execute_read(
                     })
                     .collect(),
             },
-            Err(e) => invalid_query(format!("bad pattern query: {e}")),
+            Err(JoinError::Parse(e)) => invalid_query(format!("bad pattern query: {e}")),
+            Err(JoinError::Budget(e)) => invalid_query(format!("query refused: {e}")),
         },
         Request::PathQuery { path, page, cursor } => {
             path_query(at, path, *page, cursor.as_deref(), path_threads)
@@ -881,8 +882,7 @@ fn execute_read(
                 epoch,
                 object: hit.object.0,
                 label: hit.label,
-                // Same traversal core as path queries; proven identical
-                // to `Browser::neighborhood_summary`.
+                // Same traversal core as path queries.
                 links: semex_query::summary::neighborhood_summary(snap.store(), hit.object),
             },
             None => not_found(query),

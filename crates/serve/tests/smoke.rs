@@ -317,6 +317,59 @@ fn every_request_variant_round_trips_through_a_live_server() {
 }
 
 #[test]
+fn an_over_budget_pattern_join_is_refused_and_the_connection_stays_open() {
+    // 40 papers with 3 authors each: 120 AuthoredBy edges, so a three-way
+    // cross product would be 1.7M rows.
+    let bib: String = (0..40)
+        .map(|i| {
+            format!(
+                "@inproceedings{{k{i}, title={{Paper {i}}}, \
+                 author={{A{i} Aa and B{i} Bb and C{i} Cc}}, booktitle={{V}}, year=2004}}\n"
+            )
+        })
+        .collect();
+    let space = SemexBuilder::new()
+        .add_bibtex("library", &bib)
+        .build()
+        .unwrap();
+    let handle = serve(
+        Master::Ephemeral(space),
+        "127.0.0.1:0",
+        ServeConfig::default(),
+    )
+    .unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    match client
+        .request(&Request::Query {
+            pattern: "?a AuthoredBy ?b . ?c AuthoredBy ?d . ?e AuthoredBy ?f".into(),
+        })
+        .unwrap()
+    {
+        Response::Error {
+            kind: ErrorKindWire::InvalidQuery,
+            message,
+        } => assert!(message.starts_with("query refused: "), "{message}"),
+        other => panic!("unexpected response: {other:?}"),
+    }
+    // The same connection answers the next request.
+    match client
+        .request(&Request::Query {
+            pattern: "?pub AuthoredBy ?p".into(),
+        })
+        .unwrap()
+    {
+        Response::Solutions { total, .. } => assert_eq!(total, 120),
+        other => panic!("unexpected response: {other:?}"),
+    }
+    match client.request(&Request::Shutdown).unwrap() {
+        Response::ShutdownAck { .. } => {}
+        other => panic!("unexpected response: {other:?}"),
+    }
+    drop(client);
+    handle.join();
+}
+
+#[test]
 fn overload_sheds_connections_with_a_typed_response() {
     // One worker, a one-slot backlog: the third concurrent connection
     // must be shed at the door.

@@ -12,8 +12,8 @@
 //!
 //! Run with `cargo run --release --example personal_dashboard`.
 
-use semex::browse::analyze::{communities, importance, timeline};
 use semex::corpus::{generate_personal, CorpusConfig};
+use semex::query::analyze::{communities, importance, timeline};
 use semex::SemexBuilder;
 
 fn main() {

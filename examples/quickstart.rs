@@ -5,6 +5,7 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
+use semex::query::summary::derived;
 use semex::SemexBuilder;
 
 const BIBLIOGRAPHY: &str = r#"
@@ -98,16 +99,13 @@ fn main() {
     println!("\n== object view ==\n{}", semex.view(dong.object));
 
     // 4. Browse by association, including derived associations.
-    let browser = semex.browser();
+    let store = semex.store();
     println!("== CoAuthor(Xin Dong) ==");
-    for co in browser.derived_by_name(dong.object, "CoAuthor").unwrap() {
+    for co in derived(store, dong.object, "CoAuthor").unwrap() {
         println!("  {}", semex.store().label(co));
     }
     println!("== CorrespondedWith(Xin Dong) ==");
-    for c in browser
-        .derived_by_name(dong.object, "CorrespondedWith")
-        .unwrap()
-    {
+    for c in derived(store, dong.object, "CorrespondedWith").unwrap() {
         println!("  {}", semex.store().label(c));
     }
 }

@@ -11,8 +11,8 @@
 //!
 //! Run with `cargo run --release --example research_browser`.
 
-use semex::browse::Browser;
 use semex::corpus::{generate_personal, CorpusConfig};
+use semex::query::summary::{derived, shortest_path};
 use semex::SemexBuilder;
 
 fn main() {
@@ -48,23 +48,20 @@ fn main() {
 
     // Pick the most prolific author as the protagonist.
     let store = semex.store();
-    let browser: Browser<'_> = semex.browser();
     let c_person = store.model().class("Person").unwrap();
     let protagonist = store
         .objects_of_class(c_person)
-        .max_by_key(|&p| browser.derived_by_name(p, "CoAuthor").unwrap().len())
+        .max_by_key(|&p| derived(store, p, "CoAuthor").unwrap().len())
         .expect("people exist");
     println!("== protagonist: {} ==", store.label(protagonist));
     println!("{}", semex.view(protagonist));
 
     println!("== co-authors ==");
-    for co in browser.derived_by_name(protagonist, "CoAuthor").unwrap() {
+    for co in derived(store, protagonist, "CoAuthor").unwrap() {
         println!("  {}", store.label(co));
     }
 
-    let correspondents = browser
-        .derived_by_name(protagonist, "CorrespondedWith")
-        .unwrap();
+    let correspondents = derived(store, protagonist, "CorrespondedWith").unwrap();
     println!("== correspondents ({}) ==", correspondents.len());
     for c in correspondents.iter().take(8) {
         println!("  {}", store.label(*c));
@@ -77,12 +74,12 @@ fn main() {
         .find(|&p| {
             p != protagonist
                 && !correspondents.contains(&p)
-                && browser.path_between(protagonist, p, 4).is_some()
+                && shortest_path(store, protagonist, p, 4).is_some()
         })
         .or_else(|| store.objects_of_class(c_person).find(|&p| p != protagonist));
     if let Some(stranger) = stranger {
         println!("\n== connection to {} ==", store.label(stranger));
-        match browser.path_between(protagonist, stranger, 6) {
+        match shortest_path(store, protagonist, stranger, 6) {
             Some(path) => {
                 for (obj, via) in path {
                     match via {

@@ -47,14 +47,16 @@ echo "    answers under random writes/reads/evictions, byte-identical frames,"
 echo "    and the 8-reader miss herd collapsing to one evaluation)"
 cargo test -q -p semex-serve --test cache_equiv_prop
 
-echo "==> e14 smoke (multi-tenant serving at CI scale -> BENCH_tenants.json)"
+echo "==> e14 smoke (multi-tenant serving at CI scale"
+echo "    -> target/bench-smoke/BENCH_tenants.json)"
 cargo run --release -q -p semex-bench --bin experiments -- e14-smoke
 
-echo "==> e15 smoke (binary snapshot cold opens at CI scale -> BENCH_snapshot.json)"
+echo "==> e15 smoke (binary snapshot cold opens at CI scale"
+echo "    -> target/bench-smoke/BENCH_snapshot.json)"
 cargo run --release -q -p semex-bench --bin experiments -- e15-smoke
 
 echo "==> e16 smoke (read-cache hit rate, latency, and coalescing at CI scale"
-echo "    -> BENCH_cache.json)"
+echo "    -> target/bench-smoke/BENCH_cache.json)"
 cargo run --release -q -p semex-bench --bin experiments -- e16-smoke
 
 echo "==> cluster fault sweep (primary crashed at every journal I/O op and every"
@@ -64,19 +66,22 @@ cargo test -q -p semex-replica --test cluster_sweep -- --nocapture
 cargo test -q -p semex-replica --test replica_e2e
 
 echo "==> e17 smoke (1 primary + 1 follower over sockets: catch-up, byte-identical"
-echo "    replica reads, synchronous write-ack cost -> BENCH_replica.json)"
+echo "    replica reads, synchronous write-ack cost"
+echo "    -> target/bench-smoke/BENCH_replica.json)"
 cargo run --release -q -p semex-bench --bin experiments -- e17-smoke
 
 echo "==> query equivalence suite (path engine vs brute-force reference at every"
-echo "    thread count, cursor pages stitching to the unpaginated run, engine-side"
-echo "    joins vs the original browser, and the three-hop wire query with"
-echo "    resumable cursors and typed errors)"
+echo "    thread count, cursor pages stitching to the unpaginated run, joins,"
+echo "    neighbourhoods, derived associations and shortest paths vs the browse"
+echo "    oracles, and the three-hop wire query with resumable cursors and typed"
+echo "    errors)"
 cargo test -q -p semex-query --test query_equiv_prop
 cargo test -q -p semex-serve --test path_query
 cargo test -q -p semex-serve --test protocol_prop
 
 echo "==> e18 smoke (path-query latency vs size/hops, thread scaling, and the"
-echo "    over-the-wire cache uplift at CI scale -> BENCH_query.json)"
+echo "    over-the-wire cache uplift at CI scale"
+echo "    -> target/bench-smoke/BENCH_query.json)"
 cargo run --release -q -p semex-bench --bin experiments -- e18-smoke
 
 echo "==> cargo doc (no deps, warnings are errors)"

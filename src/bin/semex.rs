@@ -375,9 +375,7 @@ fn cmd_query(args: &[String], mode: QueryMode) -> Result<(), String> {
         QueryMode::CoAuthors => {
             let hit = top_hit(&semex, &format!("class:Person {query}")).ok_or("no such person")?;
             println!("co-authors of {}:", hit.label);
-            let coauthors = semex
-                .browser()
-                .derived_by_name(hit.object, "CoAuthor")
+            let coauthors = semex::query::summary::derived(semex.store(), hit.object, "CoAuthor")
                 .expect("builtin derived association");
             if coauthors.is_empty() {
                 println!("  (none)");
@@ -494,7 +492,7 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
         .class("Person")
         .ok_or("no Person class")?;
     println!("most important people (association-weighted):");
-    for (obj, score) in semex::browse::analyze::importance(semex.store(), c_person, 3, 10) {
+    for (obj, score) in semex::query::analyze::importance(semex.store(), c_person, 3, 10) {
         println!("  {score:>8.5}  {}", semex.store().label(obj));
     }
     Ok(())
@@ -541,13 +539,15 @@ fn cmd_repl(args: &[String]) -> Result<(), String> {
             "b" => match top_hit(&semex, rest) {
                 Some(hit) => {
                     println!("  [{}] {}", hit.class, hit.label);
-                    for (label, count) in semex.browser().neighborhood_summary(hit.object) {
+                    for (label, count) in
+                        semex::query::summary::neighborhood_summary(semex.store(), hit.object)
+                    {
                         println!("    {label}: {count}");
                     }
                 }
                 None => println!("  no results"),
             },
-            "q" => match semex::browse::pattern::query_str(semex.store(), rest) {
+            "q" => match semex::query::join::query_str(semex.store(), rest) {
                 Ok(solutions) => {
                     println!("  {} solution(s)", solutions.len());
                     for b in solutions.iter().take(20) {
@@ -579,7 +579,7 @@ fn cmd_timeline(args: &[String]) -> Result<(), String> {
     let hit =
         top_hit(&semex, &format!("class:Person {}", rest.join(" "))).ok_or("no such person")?;
     println!("activity of {}:", hit.label);
-    let tl = semex::browse::analyze::timeline(semex.store(), hit.object);
+    let tl = semex::query::analyze::timeline(semex.store(), hit.object);
     if tl.is_empty() {
         println!("  (no dated activity)");
     }
@@ -600,7 +600,7 @@ fn cmd_communities(args: &[String]) -> Result<(), String> {
         .derived("CoAuthor")
         .ok_or("no CoAuthor rule")?
         .clone();
-    let groups = semex::browse::analyze::communities(semex.store(), &def);
+    let groups = semex::query::analyze::communities(semex.store(), &def);
     println!("{} CoAuthor communities:", groups.len());
     for (i, g) in groups.iter().take(12).enumerate() {
         let names: Vec<String> = g.iter().take(5).map(|&o| semex.store().label(o)).collect();
@@ -1171,7 +1171,7 @@ fn cmd_path(args: &[String]) -> Result<(), String> {
     let semex = load(path)?;
     let from = top_hit(&semex, &format!("class:Person {from_q}")).ok_or("from-person not found")?;
     let to = top_hit(&semex, &format!("class:Person {to_q}")).ok_or("to-person not found")?;
-    match semex.browser().path_between(from.object, to.object, 6) {
+    match semex::query::summary::shortest_path(semex.store(), from.object, to.object, 6) {
         None => println!("no connection within 6 hops"),
         Some(steps) => {
             for (obj, via) in steps {

@@ -9,7 +9,6 @@
 //! reconciliation, indexing, browsing, on-the-fly integration, and the
 //! concurrent query service.
 
-pub use semex_browse as browse;
 pub use semex_core as core;
 pub use semex_corpus as corpus;
 pub use semex_extract as extract;

@@ -5,6 +5,7 @@
 mod common;
 
 use semex::corpus::{generate_personal, CorpusConfig};
+use semex::query::summary;
 use semex::SemexBuilder;
 
 #[test]
@@ -41,15 +42,14 @@ fn the_demo_script() {
     // ---------------------------------------------------------------
     // Scenario 2 — browse by association from that object.
     // ---------------------------------------------------------------
-    let browser = semex.browser();
-    let neighborhood = browser.neighborhood_summary(person);
+    let neighborhood = summary::neighborhood_summary(semex.store(), person);
     assert!(
         !neighborhood.is_empty(),
         "every person in a personal space has associations"
     );
     // Derived associations evaluate on the fly.
-    let coauthors = browser.derived_by_name(person, "CoAuthor").unwrap();
-    let correspondents = browser.derived_by_name(person, "CorrespondedWith").unwrap();
+    let coauthors = summary::derived(semex.store(), person, "CoAuthor").unwrap();
+    let correspondents = summary::derived(semex.store(), person, "CorrespondedWith").unwrap();
     assert!(
         !coauthors.is_empty() || !correspondents.is_empty(),
         "the protagonist has co-authors or correspondents to click through"

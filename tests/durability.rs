@@ -2,6 +2,7 @@
 //! `save_compacted` → `load` query equivalence, and the journal-backed
 //! `open_durable` crash-recovery path end to end.
 
+use semex::query::summary::derived;
 use semex::{JournalConfig, Semex, SemexBuilder, SemexConfig};
 use std::path::PathBuf;
 
@@ -95,18 +96,14 @@ fn save_compacted_then_load_answers_queries_identically() {
     }
     // Derived associations survive too: Dong's co-authors read the same.
     let dong = restored.search("class:Person dong", 1)[0].object;
-    let mut coauthors: Vec<String> = restored
-        .browser()
-        .derived_by_name(dong, "CoAuthor")
+    let mut coauthors: Vec<String> = derived(restored.store(), dong, "CoAuthor")
         .unwrap()
         .into_iter()
         .map(|o| restored.store().label(o))
         .collect();
     coauthors.sort();
     let dong_live = semex.search("class:Person dong", 1)[0].object;
-    let mut coauthors_live: Vec<String> = semex
-        .browser()
-        .derived_by_name(dong_live, "CoAuthor")
+    let mut coauthors_live: Vec<String> = derived(semex.store(), dong_live, "CoAuthor")
         .unwrap()
         .into_iter()
         .map(|o| semex.store().label(o))

@@ -5,6 +5,7 @@
 //! associations.
 
 use semex::model::{AssocDef, AttrDef, ClassDef, DerivedDef, DomainModel, PathExpr, ValueKind};
+use semex::query::summary::{derived, neighborhood};
 use semex::recon::{reconcile, ReconConfig, Variant};
 use semex::store::{SourceInfo, SourceKind, Store};
 
@@ -76,12 +77,11 @@ fn custom_class_reconciles_and_browses() {
 
     // The user-defined derived association now connects the two papers
     // through the merged dataset.
-    let browser = semex::browse::Browser::new(&st);
-    let shared = browser.derived_by_name(p1, "SharedDataset").unwrap();
+    let shared = derived(&st, p1, "SharedDataset").unwrap();
     assert_eq!(shared, vec![p2]);
 
     // And the merged dataset browses back to both papers.
-    let links = browser.neighborhood(st.resolve(d1));
+    let links = neighborhood(&st, st.resolve(d1));
     let used_by: Vec<_> = links.iter().filter(|l| l.label == "UsedBy").collect();
     assert_eq!(used_by.len(), 2);
 }

@@ -5,6 +5,7 @@
 mod common;
 
 use semex::corpus::{generate_personal, CorpusConfig};
+use semex::query::summary::shortest_path;
 use semex::{Semex, SemexBuilder, SemexConfig};
 
 fn build_from_disk(seed: u64, tag: &str) -> (Semex, std::path::PathBuf) {
@@ -100,12 +101,11 @@ fn snapshot_survives_full_pipeline() {
 fn browse_paths_exist_in_reconciled_graph() {
     let (semex, dir) = build_from_disk(25, "browse");
     let store = semex.store();
-    let browser = semex.browser();
     let c_person = store.model().class("Person").unwrap();
     let people: Vec<_> = store.objects_of_class(c_person).take(6).collect();
     let mut connected = 0;
     for w in people.windows(2) {
-        if browser.path_between(w[0], w[1], 5).is_some() {
+        if shortest_path(store, w[0], w[1], 5).is_some() {
             connected += 1;
         }
     }
