@@ -3,11 +3,12 @@
 use crate::pipeline::{BuildReport, SemexConfig};
 use semex_extract::csv::{parse_csv, Table};
 use semex_index::SearchIndex;
-use semex_integrate::{import, ImportReport, SchemaMatcher};
+use semex_integrate::{import_rows, ImportReport, SchemaMatcher};
 use semex_journal::{
     CompactionReport, DurableStore, Journal, JournalConfig, JournalError, JournalIo, RecoveryReport,
 };
 use semex_query::summary::{neighborhood, Link};
+use semex_recon::{ReconState, Variant};
 use semex_store::{ObjectId, SnapshotError, Store, StoreEvent, StoreStats};
 use std::fmt;
 
@@ -204,6 +205,11 @@ pub struct Semex {
     /// [`crate::SemexError::Degraded`] until
     /// [`DurableSemex::try_recover_journal`] clears the condition.
     degraded: Option<String>,
+    /// Reconciliation state kept current from the store's event stream, so
+    /// an ingest reconciles in time proportional to its new references.
+    /// Built on the first write that reconciles: a space that is only read
+    /// holds none.
+    recon: Option<Box<ReconState>>,
 }
 
 impl fmt::Debug for Semex {
@@ -235,6 +241,7 @@ impl Semex {
             retain_events: false,
             batch_index: false,
             degraded: None,
+            recon: None,
         }
     }
 
@@ -280,6 +287,9 @@ impl Semex {
         let events = self.store.take_events();
         if events.is_empty() {
             return;
+        }
+        if let Some(recon) = &mut self.recon {
+            recon.drained(&self.store, &events);
         }
         self.index.apply_events(&self.store, &events);
         if self.retain_events {
@@ -386,7 +396,10 @@ impl Semex {
             return Ok(None);
         };
         let score = mapping.score;
-        let result = import(&mut self.store, name, table, &mapping, &self.config.recon);
+        let result = import_rows(&mut self.store, name, table, &mapping).map(|imported| {
+            self.reconcile_new(&imported.created, Variant::Full);
+            imported.report(&self.store)
+        });
         // Refresh on both paths: a rejected import may have applied a prefix
         // of the rows, and the index must track whatever the store holds.
         self.refresh_index();
@@ -455,15 +468,19 @@ impl Semex {
             let new_objects: Vec<ObjectId> = (first_new_slot..self.store.slot_count() as u64)
                 .map(ObjectId)
                 .collect();
-            semex_recon::reconcile_incremental(
-                &mut self.store,
-                &new_objects,
-                self.config.recon_variant,
-                &self.config.recon,
-            );
+            self.reconcile_new(&new_objects, self.config.recon_variant);
         }
         self.refresh_index();
         Ok(stats)
+    }
+
+    /// Reconcile references created since the last run against the space,
+    /// through the persistent state (built here on first use).
+    fn reconcile_new(&mut self, new_objects: &[ObjectId], variant: Variant) {
+        let store = &mut self.store;
+        self.recon
+            .get_or_insert_with(|| Box::new(ReconState::new(store)))
+            .reconcile(store, new_objects, variant, &self.config.recon);
     }
 
     /// Explain an object: its asserted facts grouped by provenance source —
@@ -644,6 +661,7 @@ impl Semex {
         let (store, journal) = durable.into_parts();
         self.store = store;
         self.store.enable_events();
+        self.recon = None;
         self.retain_events = true;
         self.pending_events.clear();
         let durable = DurableSemex {
@@ -812,6 +830,9 @@ impl DurableSemex {
             }
         }
         self.semex.index.apply_events(&self.semex.store, events);
+        if let Some(recon) = &mut self.semex.recon {
+            recon.apply_events(&self.semex.store, events);
+        }
         // `apply_event` replays outside the recorder, so nothing is
         // buffered — the batch is fully folded and fully durable.
         Ok(self.journal.next_seq())

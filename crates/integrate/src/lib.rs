@@ -18,6 +18,8 @@
 //!   imported rows merge into existing objects where they denote the same
 //!   entities. The returned [`ImportReport`] says how many rows landed on
 //!   existing objects vs. created new ones — the demo's headline number.
+//!   [`import_rows`] is the same without the reconciliation, for callers
+//!   that reconcile the created references themselves.
 
 mod matcher;
 
@@ -26,7 +28,7 @@ pub use matcher::{ColumnProfile, Mapping, MatchedColumn, SchemaMatcher};
 use semex_extract::csv::Table;
 use semex_model::Value;
 use semex_recon::{reconcile_incremental, ReconConfig, Variant};
-use semex_store::{SourceId, SourceInfo, SourceKind, Store, StoreError};
+use semex_store::{ObjectId, SourceId, SourceInfo, SourceKind, Store, StoreError};
 
 /// Outcome of importing an external table.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,7 +46,43 @@ pub struct ImportReport {
     pub skipped: usize,
 }
 
-/// Import a table into the store under the given mapping, then reconcile.
+/// Rows of a table written into the store, not yet reconciled: what
+/// [`import_rows`] hands back so the caller can reconcile the created
+/// references its own way (the platform does it through its persistent
+/// reconciliation state) and then [`report`](ImportedRows::report).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ImportedRows {
+    /// The provenance source registered for this import.
+    pub source: SourceId,
+    /// Data rows consumed.
+    pub rows: usize,
+    /// The references created, one per non-empty row, in row order.
+    pub created: Vec<ObjectId>,
+    /// Rows skipped because every mapped cell was empty.
+    pub skipped: usize,
+    /// Store slots that existed before the import.
+    preexisting: u64,
+}
+
+impl ImportedRows {
+    /// The import's report, read from the store after reconciliation.
+    pub fn report(&self, store: &Store) -> ImportReport {
+        ImportReport {
+            source: self.source,
+            rows: self.rows,
+            created: self.created.len(),
+            merged_into_existing: self
+                .created
+                .iter()
+                .filter(|&&o| store.resolve(o).0 < self.preexisting)
+                .count(),
+            skipped: self.skipped,
+        }
+    }
+}
+
+/// Import a table into the store under the given mapping, then reconcile
+/// the created references against the space.
 pub fn import(
     store: &mut Store,
     name: &str,
@@ -52,10 +90,25 @@ pub fn import(
     mapping: &Mapping,
     recon_cfg: &ReconConfig,
 ) -> Result<ImportReport, StoreError> {
+    let imported = import_rows(store, name, table, mapping)?;
+    // Fold the new references into the existing space. Incremental: only
+    // pairs touching the imported rows are considered.
+    reconcile_incremental(store, &imported.created, Variant::Full, recon_cfg);
+    Ok(imported.report(store))
+}
+
+/// Write a table's rows into the store under the given mapping, one
+/// reference per non-empty row, without reconciling them.
+pub fn import_rows(
+    store: &mut Store,
+    name: &str,
+    table: &Table,
+    mapping: &Mapping,
+) -> Result<ImportedRows, StoreError> {
     let source = store.register_source(SourceInfo::new(name, SourceKind::External));
     let preexisting = store.slot_count() as u64;
 
-    let mut created_ids = Vec::new();
+    let mut created = Vec::new();
     let mut skipped = 0usize;
     for row in &table.rows {
         let mut values: Vec<(semex_model::AttrId, Value)> = Vec::new();
@@ -85,24 +138,14 @@ pub fn import(
             store.add_attr(obj, a, v)?;
         }
         store.add_source_to(obj, source);
-        created_ids.push(obj);
+        created.push(obj);
     }
-
-    // Fold the new references into the existing space. Incremental: only
-    // pairs touching the imported rows are considered.
-    reconcile_incremental(store, &created_ids, Variant::Full, recon_cfg);
-
-    let merged_into_existing = created_ids
-        .iter()
-        .filter(|&&o| store.resolve(o).0 < preexisting)
-        .count();
-
-    Ok(ImportReport {
+    Ok(ImportedRows {
         source,
         rows: table.rows.len(),
-        created: created_ids.len(),
-        merged_into_existing,
+        created,
         skipped,
+        preexisting,
     })
 }
 

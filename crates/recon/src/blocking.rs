@@ -37,7 +37,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// string key would hold. A 64-bit collision across a class's key space is
 /// vanishingly unlikely, and its worst case is one spurious candidate pair
 /// that still has to clear the scorer, so blocking stays sound.
-fn key_hash(ns: &str, body: &str) -> u64 {
+pub(crate) fn key_hash(ns: &str, body: &str) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in ns.as_bytes().iter().chain(body.as_bytes()) {
         h ^= u64::from(b);
@@ -53,10 +53,7 @@ pub fn candidate_pairs(table: &RefTable) -> Vec<(u32, u32)> {
     let mut rows: Vec<(u16, u64, u32)> = Vec::new();
     let mut hashes: Vec<u64> = Vec::new();
     for (i, e) in table.entries.iter().enumerate() {
-        hashes.clear();
-        visit_keys(&table.vocab, e, |ns, body| hashes.push(key_hash(ns, body)));
-        hashes.sort_unstable();
-        hashes.dedup();
+        key_hashes(&table.vocab, e, &mut hashes);
         for &h in &hashes {
             rows.push((e.class.0, h, i as u32));
         }
@@ -76,6 +73,15 @@ pub fn candidate_pairs(table: &RefTable) -> Vec<(u32, u32)> {
     pairs.sort_unstable();
     pairs.dedup();
     pairs
+}
+
+/// The distinct blocking-key fingerprints of one reference, ascending,
+/// into `out` (cleared first).
+pub(crate) fn key_hashes(vocab: &Vocab, e: &RefEntry, out: &mut Vec<u64>) {
+    out.clear();
+    visit_keys(vocab, e, |ns, body| out.push(key_hash(ns, body)));
+    out.sort_unstable();
+    out.dedup();
 }
 
 /// Visit the blocking keys of one reference as `(namespace, body)` pairs,
@@ -217,10 +223,19 @@ impl BlockingStats {
         for e in &table.entries {
             *per_class.entry(e.class.0).or_insert(0) += 1;
         }
-        let exhaustive = per_class.values().map(|&n| n * (n - 1) / 2).sum();
+        BlockingStats::of_counts(per_class.into_values(), pairs.len())
+    }
+
+    /// Stats from per-class reference counts and a candidate count.
+    pub(crate) fn of_counts(per_class: impl Iterator<Item = usize>, pairs: usize) -> BlockingStats {
+        let (mut refs, mut exhaustive) = (0, 0);
+        for n in per_class {
+            refs += n;
+            exhaustive += n * n.saturating_sub(1) / 2;
+        }
         BlockingStats {
-            refs: table.len(),
-            pairs: pairs.len(),
+            refs,
+            pairs,
             exhaustive_pairs: exhaustive,
         }
     }

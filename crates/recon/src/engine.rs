@@ -2,9 +2,10 @@
 //! enrichment over blocked candidate pairs, sharded across cores.
 
 use crate::blocking::{self, BlockingStats};
-use crate::refs::RefTable;
+use crate::refs::{RefEntry, RefTable, Vocab};
 use crate::score::{attr_score, Pool, Verdicts};
 use crate::shard::{self, Shard};
+use crate::state::ReconState;
 use crate::worklist::{run_shard, Oracle, ShardOutcome};
 use crate::{ReconConfig, UnionFind, Variant};
 use semex_model::names::assoc as an;
@@ -17,8 +18,14 @@ use std::time::{Duration, Instant};
 pub struct ReconReport {
     /// The variant that ran.
     pub variant: Variant,
-    /// References considered.
+    /// Live references in the space.
     pub refs: usize,
+    /// References the run examined: the rows of its working table. A full
+    /// run examines every reference; an incremental run examines only the
+    /// endpoints of its candidate pairs, their evidence neighbours and the
+    /// references named in feedback constraints — a count set by what the
+    /// new references touch, not by the size of the space.
+    pub examined: usize,
     /// Candidate pairs after blocking.
     pub candidates: usize,
     /// Blocking statistics.
@@ -47,7 +54,11 @@ pub struct ReconReport {
 
 /// Run reconciliation on a store and apply the resulting merges.
 pub fn reconcile(store: &mut Store, variant: Variant, cfg: &ReconConfig) -> ReconReport {
-    run(store, variant, cfg, None)
+    let start = Instant::now();
+    let mut table = RefTable::attributes(store);
+    let pairs = blocking::candidate_pairs(&table);
+    table.link(store, &endpoints(&pairs), cfg.max_fanout);
+    execute_table(store, &table, pairs, variant, cfg, start)
 }
 
 /// Incremental reconciliation: consider only candidate pairs that involve
@@ -55,43 +66,105 @@ pub fn reconcile(store: &mut Store, variant: Variant, cfg: &ReconConfig) -> Reco
 /// run). Evidence still flows through the *whole* reference graph, so a
 /// new reference can merge with any existing one; what is skipped is the
 /// re-evaluation of old-old pairs, which previous runs already settled.
-/// This is the fast path behind the platform's ingest-a-new-source loop —
-/// on a settled store it costs milliseconds where a full run costs
-/// seconds.
+///
+/// This builds a fresh [`ReconState`] and runs
+/// [`ReconState::reconcile`]; a caller that reconciles repeatedly (the
+/// platform's ingest loop) keeps the state instead, so each run costs time
+/// proportional to the new references rather than to the space.
 pub fn reconcile_incremental(
     store: &mut Store,
-    new_objects: &[semex_store::ObjectId],
+    new_objects: &[ObjectId],
     variant: Variant,
     cfg: &ReconConfig,
 ) -> ReconReport {
-    run(store, variant, cfg, Some(new_objects))
+    ReconState::new(store).reconcile(store, new_objects, variant, cfg)
 }
 
-fn run(
+/// Every reference that is an endpoint of some candidate pair, ascending.
+fn endpoints(pairs: &[(u32, u32)]) -> Vec<u32> {
+    let mut refs: Vec<u32> = pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
+    refs.sort_unstable();
+    refs.dedup();
+    refs
+}
+
+/// The working table of one run. Entries are in global order (class
+/// order, then slot order) and carry evidence neighbours for every
+/// candidate endpoint; `pairs` are ascending entry-index pairs.
+pub(crate) struct Work<'a> {
+    pub entries: &'a [RefEntry],
+    pub vocab: &'a Vocab,
+    /// Entry index of a live reference, `None` when it is not in the table.
+    pub index: &'a dyn Fn(ObjectId) -> Option<u32>,
+    pub pairs: Vec<(u32, u32)>,
+    pub blocking: BlockingStats,
+}
+
+/// The rebuild-and-filter incremental run that [`ReconState`] replaced:
+/// the whole table with every entry's neighbours, every candidate pair in
+/// the space, then only the pairs touching the new references. Kept as
+/// the oracle the persistent state is checked against.
+#[cfg(test)]
+pub(crate) fn rebuild_and_filter(
     store: &mut Store,
+    new_objects: &[ObjectId],
     variant: Variant,
     cfg: &ReconConfig,
-    only_touching: Option<&[semex_store::ObjectId]>,
 ) -> ReconReport {
     let start = Instant::now();
     let table = RefTable::build(store, cfg.max_fanout);
     let mut pairs = blocking::candidate_pairs(&table);
-    if let Some(new_objects) = only_touching {
-        let new_refs: std::collections::HashSet<u32> = new_objects
-            .iter()
-            .filter_map(|o| {
-                store.object_raw(*o)?;
-                table.index_of.get(&store.resolve(*o)).copied()
-            })
-            .collect();
-        pairs.retain(|(a, b)| new_refs.contains(a) || new_refs.contains(b));
-    }
-    let blocking_stats = BlockingStats::compute(&table, &pairs);
+    let new_refs: std::collections::HashSet<u32> = new_objects
+        .iter()
+        .filter_map(|o| {
+            store.object_raw(*o)?;
+            table.index_of.get(&store.resolve(*o)).copied()
+        })
+        .collect();
+    pairs.retain(|(a, b)| new_refs.contains(a) || new_refs.contains(b));
+    execute_table(store, &table, pairs, variant, cfg, start)
+}
 
+/// [`execute`] over a whole reference table.
+fn execute_table(
+    store: &mut Store,
+    table: &RefTable,
+    pairs: Vec<(u32, u32)>,
+    variant: Variant,
+    cfg: &ReconConfig,
+    start: Instant,
+) -> ReconReport {
+    let blocking = BlockingStats::compute(table, &pairs);
+    let work = Work {
+        entries: &table.entries,
+        vocab: &table.vocab,
+        index: &|o| table.index_of.get(&o).copied(),
+        pairs,
+        blocking,
+    };
+    execute(store, work, variant, cfg, start)
+}
+
+/// Run the variant's decision procedure over a working table and apply
+/// the resulting merges to the store.
+pub(crate) fn execute(
+    store: &mut Store,
+    work: Work<'_>,
+    variant: Variant,
+    cfg: &ReconConfig,
+    start: Instant,
+) -> ReconReport {
+    let Work {
+        entries,
+        vocab,
+        index,
+        pairs,
+        blocking: blocking_stats,
+    } = work;
     // Base attribute scores over singleton pools.
-    let base = score_pairs(&table, &pairs, cfg.threads);
+    let base = score_pairs(entries, vocab, &pairs, cfg.threads);
 
-    let n = table.len();
+    let n = entries.len();
     let mut uf = UnionFind::new(n);
     let mut iterations = 0usize;
     let mut memo_hits = 0usize;
@@ -102,9 +175,9 @@ fn run(
     // User feedback: resolve must-link and cannot-link pairs to reference
     // indices. Constraints naming non-reconcilable or unknown objects are
     // ignored.
-    let ref_index = |o: semex_store::ObjectId| -> Option<u32> {
+    let ref_index = |o: ObjectId| -> Option<u32> {
         store.object_raw(o)?; // unknown ids are ignored, not fatal
-        table.index_of.get(&store.resolve(o)).copied()
+        index(store.resolve(o))
     };
     let cannot: Vec<(u32, u32)> = cfg
         .cannot_link
@@ -169,7 +242,7 @@ fn run(
             };
             for (ci, &(a, b)) in pairs.iter().enumerate() {
                 iterations += 1;
-                let ev = evidence(&table, &weights, a, b, cfg, &strong);
+                let ev = evidence(entries, &weights, a, b, &strong);
                 let combined = combine(base[ci], ev, cfg);
                 if combined >= cfg.threshold && allowed(&mut uf, a as usize, b as usize, &cannot) {
                     uf.union(a as usize, b as usize);
@@ -183,8 +256,8 @@ fn run(
             // populate), and must-link edges. See `shard` for why this
             // closure makes shards fully independent.
             let shards = shard::partition(n, &pairs, &must_refs, |a, b, sink| {
-                let ea = &table.entries[a as usize];
-                let eb = &table.entries[b as usize];
+                let ea = &entries[a as usize];
+                let eb = &entries[b as usize];
                 for (ch, na) in &ea.neighbors {
                     let nb = eb.channel(*ch);
                     if na.is_empty() || nb.is_empty() {
@@ -200,7 +273,8 @@ fn run(
             });
             shard_count = shards.len();
             let oracle = TableOracle {
-                table: &table,
+                entries,
+                vocab,
                 weights: &weights,
                 base: &base,
                 pairs: &pairs,
@@ -231,7 +305,7 @@ fn run(
         if cluster.len() < 2 {
             continue;
         }
-        let mut objs: Vec<ObjectId> = cluster.iter().map(|&i| table.entries[i].obj).collect();
+        let mut objs: Vec<ObjectId> = cluster.iter().map(|&i| entries[i].obj).collect();
         objs.sort();
         for &loser in &objs[1..] {
             merge_pairs.push((objs[0], loser));
@@ -244,7 +318,8 @@ fn run(
 
     ReconReport {
         variant,
-        refs: table.len(),
+        refs: blocking_stats.refs,
+        examined: entries.len(),
         candidates: pairs.len(),
         blocking: blocking_stats,
         merges,
@@ -261,7 +336,8 @@ fn run(
 /// The production [`Oracle`]: scores from the reference table, evidence
 /// over its channel graph.
 struct TableOracle<'a> {
-    table: &'a RefTable,
+    entries: &'a [RefEntry],
+    vocab: &'a Vocab,
     weights: &'a HashMap<u32, f64>,
     base: &'a [f64],
     pairs: &'a [(u32, u32)],
@@ -274,14 +350,23 @@ impl Oracle for TableOracle<'_> {
         self.base[ci as usize]
     }
     fn pooled_attr(&self, verdicts: &mut Verdicts, ci: u32, ma: &[u32], mb: &[u32]) -> f64 {
-        let (a, _) = self.pairs[ci as usize];
-        let pa = Pool::of_members(self.table, ma);
-        let pb = Pool::of_members(self.table, mb);
-        let kind = self.table.entries[a as usize].kind;
-        attr_score(&self.table.vocab, kind, &pa, &pb, verdicts)
+        let (a, b) = self.pairs[ci as usize];
+        // Two clusters that are still the pair's own references pool the
+        // same values the base score compared, so it is their pooled score.
+        if ma == [a]
+            && mb == [b]
+            && Pool::of_entry_is_pooled(&self.entries[a as usize])
+            && Pool::of_entry_is_pooled(&self.entries[b as usize])
+        {
+            return self.base[ci as usize];
+        }
+        let pa = Pool::of_members(self.entries, ma);
+        let pb = Pool::of_members(self.entries, mb);
+        let kind = self.entries[a as usize].kind;
+        attr_score(self.vocab, kind, &pa, &pb, verdicts)
     }
     fn evidence(&self, a: u32, b: u32, root_of: &mut dyn FnMut(u32) -> u64) -> f64 {
-        evidence_tokens(self.table, self.weights, a, b, root_of)
+        evidence_tokens(self.entries, self.weights, a, b, root_of)
     }
     fn combine(&self, attr: f64, ev: f64) -> f64 {
         combine(attr, ev, self.cfg)
@@ -293,7 +378,7 @@ impl Oracle for TableOracle<'_> {
         self.enrich
     }
     fn neighbors(&self, r: u32, sink: &mut dyn FnMut(u32)) {
-        for x in self.table.entries[r as usize].all_neighbors() {
+        for x in self.entries[r as usize].all_neighbors() {
             sink(x);
         }
     }
@@ -365,14 +450,14 @@ fn combine(attr: f64, ev: f64, cfg: &ReconConfig) -> f64 {
 /// channels, a sorted-token intersection for large ones (O(n log n)
 /// instead of the quadratic blow-up).
 fn evidence_tokens(
-    table: &RefTable,
+    entries: &[RefEntry],
     weights: &HashMap<u32, f64>,
     a: u32,
     b: u32,
     root_of: &mut dyn FnMut(u32) -> u64,
 ) -> f64 {
-    let ea = &table.entries[a as usize];
-    let eb = &table.entries[b as usize];
+    let ea = &entries[a as usize];
+    let eb = &entries[b as usize];
     let mut ev = 0.0f64;
     let mut roots_b: Vec<u64> = Vec::new();
     for (ch, na) in &ea.neighbors {
@@ -421,15 +506,14 @@ fn evidence_tokens(
 /// smaller neighbour set that matches the other side (under `same`),
 /// weighted by the channel's evidential strength and combined noisy-or.
 fn evidence(
-    table: &RefTable,
+    entries: &[RefEntry],
     weights: &HashMap<u32, f64>,
     a: u32,
     b: u32,
-    _cfg: &ReconConfig,
     same: &dyn Fn(u32, u32) -> bool,
 ) -> f64 {
-    let ea = &table.entries[a as usize];
-    let eb = &table.entries[b as usize];
+    let ea = &entries[a as usize];
+    let eb = &entries[b as usize];
     let mut ev = 0.0f64;
     for (ch, na) in &ea.neighbors {
         let nb = eb.channel(*ch);
@@ -502,14 +586,19 @@ fn channel_weights(store: &Store) -> HashMap<u32, f64> {
 }
 
 /// Score all candidate pairs over singleton pools, optionally in parallel.
-fn score_pairs(table: &RefTable, pairs: &[(u32, u32)], threads: usize) -> Vec<f64> {
+fn score_pairs(
+    entries: &[RefEntry],
+    vocab: &Vocab,
+    pairs: &[(u32, u32)],
+    threads: usize,
+) -> Vec<f64> {
     // Each worker keeps its own verdict memo for the chunk it scores.
     let score_all = |work: &[(u32, u32)], out: &mut [f64]| {
         let mut verdicts = Verdicts::default();
         for (o, &(a, b)) in out.iter_mut().zip(work) {
-            let (ea, eb) = (&table.entries[a as usize], &table.entries[b as usize]);
+            let (ea, eb) = (&entries[a as usize], &entries[b as usize]);
             let (pa, pb) = (Pool::of(ea), Pool::of(eb));
-            *o = attr_score(&table.vocab, ea.kind, &pa, &pb, &mut verdicts);
+            *o = attr_score(vocab, ea.kind, &pa, &pb, &mut verdicts);
         }
     };
     let mut out = vec![0.0; pairs.len()];

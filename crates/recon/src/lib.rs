@@ -58,6 +58,13 @@
 //! clusterings are stitched back together — with the hard guarantee that
 //! any thread count produces byte-identical clusters and merges.
 
+//! Incremental runs ([`reconcile_incremental`]) consider only the pairs
+//! that touch new references. A caller that reconciles every new source
+//! as it arrives keeps a [`ReconState`]: a blocking index fed from the
+//! store's event stream, so each run costs what the new references touch
+//! rather than what the space holds, with results identical to a fresh
+//! run.
+
 pub mod blocking;
 mod config;
 mod engine;
@@ -65,6 +72,7 @@ pub mod eval;
 mod refs;
 pub mod score;
 pub mod shard;
+mod state;
 mod union_find;
 mod worklist;
 
@@ -73,4 +81,5 @@ pub use engine::{reconcile, reconcile_incremental, ReconReport};
 pub use eval::{pair_metrics, Metrics};
 pub use refs::{ParsedEmail, RefEntry, RefKind, RefTable, Vocab};
 pub use shard::{partition, Shard};
+pub use state::ReconState;
 pub use union_find::UnionFind;

@@ -1,7 +1,7 @@
 //! The reference table: a cached, reconciliation-oriented view of a store.
 
 use semex_model::names::{attr, class};
-use semex_model::{AttrId, ClassId};
+use semex_model::{AssocId, AttrId, ClassId, DomainModel};
 use semex_similarity::email::EmailAddr;
 use semex_similarity::name::PersonName;
 use semex_store::{ObjectId, Store};
@@ -87,7 +87,9 @@ pub struct ParsedEmail {
 #[derive(Debug, Default)]
 pub(crate) struct VocabBuilder {
     vocab: Vocab,
-    ids: [HashMap<String, u32>; 4],
+    /// Per field: value fingerprint → id. Each string is owned once, by
+    /// its field's list; the map holds only its fingerprint.
+    ids: [HashMap<u64, u32>; 4],
 }
 
 impl VocabBuilder {
@@ -129,14 +131,24 @@ impl VocabBuilder {
     }
 }
 
-fn intern(ids: &mut HashMap<String, u32>, strs: &mut Vec<String>, s: &str) -> u32 {
-    if let Some(&id) = ids.get(s) {
-        return id;
+/// Id of `s` in `strs`, appending it when new. The map is keyed by a 64-bit
+/// fingerprint and every hit is checked against the stored string; a
+/// fingerprint collision falls back to a scan, so interning stays exact.
+fn intern(ids: &mut HashMap<u64, u32>, strs: &mut Vec<String>, s: &str) -> u32 {
+    let h = crate::blocking::key_hash("", s);
+    match ids.get(&h) {
+        Some(&id) if strs[id as usize] == s => return id,
+        Some(_) => {
+            if let Some(i) = strs.iter().position(|x| x == s) {
+                return i as u32;
+            }
+        }
+        None => {
+            ids.insert(h, strs.len() as u32);
+        }
     }
-    let id = strs.len() as u32;
     strs.push(s.to_owned());
-    ids.insert(s.to_owned(), id);
-    id
+    strs.len() as u32 - 1
 }
 
 impl RefEntry {
@@ -184,115 +196,116 @@ pub fn hop_channel(first: u16, second: u16) -> u32 {
     (1 << 24) | ((first as u32) << 12) | (second as u32)
 }
 
+/// The model's attribute ids that reference rows cache.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowAttrs {
+    name: Option<AttrId>,
+    email: Option<AttrId>,
+    title: Option<AttrId>,
+    abbrev: Option<AttrId>,
+    year: Option<AttrId>,
+}
+
+impl RowAttrs {
+    pub fn of(model: &DomainModel) -> RowAttrs {
+        RowAttrs {
+            name: model.attr(attr::NAME),
+            email: model.attr(attr::EMAIL),
+            title: model.attr(attr::TITLE),
+            abbrev: model.attr(attr::ABBREVIATION),
+            year: model.attr(attr::YEAR),
+        }
+    }
+
+    /// Read the attribute row of live object `obj` of a reconcilable
+    /// `class`, interning its strings into `vocab`. Neighbours stay empty.
+    pub fn read(
+        &self,
+        store: &Store,
+        vocab: &mut VocabBuilder,
+        obj: ObjectId,
+        class: ClassId,
+        kind: RefKind,
+    ) -> RefEntry {
+        let o = store.object(obj);
+        let strs = |attr: Option<AttrId>| attr.into_iter().flat_map(|a| o.strs(a));
+        RefEntry {
+            obj,
+            class,
+            kind,
+            names: strs(self.name).map(|s| vocab.name(s)).collect(),
+            emails: strs(self.email)
+                .map(|s| vocab.email(&s.to_lowercase()))
+                .collect(),
+            titles: strs(self.title).map(|s| vocab.title(s)).collect(),
+            abbrevs: strs(self.abbrev).map(|s| vocab.abbrev(s)).collect(),
+            years: self
+                .year
+                .map(|a| o.values(a).filter_map(|v| v.as_int()).collect())
+                .unwrap_or_default(),
+            neighbors: Vec::new(),
+        }
+    }
+}
+
+/// The comparator kind of a class, or `None` when it is not reconcilable.
+pub(crate) fn kind_of(model: &DomainModel, class: ClassId) -> Option<RefKind> {
+    let def = model.class_def(class);
+    def.reconcilable.then_some(match def.name.as_str() {
+        class::PERSON => RefKind::Person,
+        class::PUBLICATION => RefKind::Publication,
+        class::VENUE => RefKind::Venue,
+        class::ORGANIZATION => RefKind::Organization,
+        _ => RefKind::Other,
+    })
+}
+
 impl RefTable {
     /// Build the table from a store: one entry per live object of each
-    /// reconcilable class, with neighbours capped at `max_fanout` per
-    /// channel.
+    /// reconcilable class, with evidence neighbours for every entry,
+    /// capped at `max_fanout` per channel.
     pub fn build(store: &Store, max_fanout: usize) -> RefTable {
-        let model = store.model();
-        let a_name = model.attr(attr::NAME);
-        let a_email = model.attr(attr::EMAIL);
-        let a_title = model.attr(attr::TITLE);
-        let a_abbr = model.attr(attr::ABBREVIATION);
-        let a_year = model.attr(attr::YEAR);
+        let mut table = RefTable::attributes(store);
+        let all: Vec<u32> = (0..table.len() as u32).collect();
+        table.link(store, &all, max_fanout);
+        table
+    }
 
+    /// The table's attribute rows only, in global order: class order, then
+    /// slot order. No entry has neighbours yet (see [`RefTable::link`]).
+    pub(crate) fn attributes(store: &Store) -> RefTable {
+        let model = store.model();
+        let attrs = RowAttrs::of(model);
         let mut entries: Vec<RefEntry> = Vec::new();
         let mut index_of: HashMap<ObjectId, u32> = HashMap::new();
         let mut vocab = VocabBuilder::default();
-        for (class_id, def) in model.classes() {
-            if !def.reconcilable {
+        for (class_id, _) in model.classes() {
+            let Some(kind) = kind_of(model, class_id) else {
                 continue;
-            }
-            let kind = match def.name.as_str() {
-                class::PERSON => RefKind::Person,
-                class::PUBLICATION => RefKind::Publication,
-                class::VENUE => RefKind::Venue,
-                class::ORGANIZATION => RefKind::Organization,
-                _ => RefKind::Other,
             };
             for obj in store.objects_of_class(class_id) {
-                let o = store.object(obj);
-                let strs = |attr: Option<AttrId>| attr.into_iter().flat_map(|a| o.strs(a));
-                let mut e = RefEntry {
-                    obj,
-                    class: class_id,
-                    kind,
-                    ..Default::default()
-                };
-                e.names = strs(a_name).map(|s| vocab.name(s)).collect();
-                e.emails = strs(a_email)
-                    .map(|s| vocab.email(&s.to_lowercase()))
-                    .collect();
-                e.titles = strs(a_title).map(|s| vocab.title(s)).collect();
-                e.abbrevs = strs(a_abbr).map(|s| vocab.abbrev(s)).collect();
-                if let Some(a) = a_year {
-                    e.years = o.values(a).filter_map(|v| v.as_int()).collect();
-                }
-                let idx = entries.len() as u32;
-                index_of.insert(obj, idx);
-                entries.push(e);
+                index_of.insert(obj, entries.len() as u32);
+                entries.push(attrs.read(store, &mut vocab, obj, class_id, kind));
             }
         }
-
-        // Evidence neighbours.
-        let reconcilable = |c: ClassId| -> bool { model.class_def(c).reconcilable };
-        #[allow(clippy::needless_range_loop)] // entries is mutated at [i] below
-        for i in 0..entries.len() {
-            let obj = entries[i].obj;
-            let mut channels: HashMap<u32, Vec<u32>> = HashMap::new();
-            for (assoc, def) in model.assocs() {
-                if !def.recon_evidence {
-                    continue;
-                }
-                // I am the subject: look at my objects.
-                if def.domain == entries[i].class {
-                    for &n in store.neighbors(obj, assoc) {
-                        push_evidence(
-                            store,
-                            &index_of,
-                            &mut channels,
-                            direct_channel(assoc.0, false),
-                            n,
-                            assoc.0,
-                            i as u32,
-                            reconcilable(def.range),
-                            true,
-                            max_fanout,
-                        );
-                    }
-                }
-                // I am the object: look at my subjects.
-                if def.range == entries[i].class {
-                    for &n in store.inverse_neighbors(obj, assoc) {
-                        push_evidence(
-                            store,
-                            &index_of,
-                            &mut channels,
-                            direct_channel(assoc.0, true),
-                            n,
-                            assoc.0,
-                            i as u32,
-                            reconcilable(def.domain),
-                            false,
-                            max_fanout,
-                        );
-                    }
-                }
-            }
-            let mut list: Vec<(u32, Vec<u32>)> = channels.into_iter().collect();
-            list.sort_by_key(|(c, _)| *c);
-            for (_, ns) in &mut list {
-                ns.sort_unstable();
-                ns.dedup();
-                ns.truncate(max_fanout);
-            }
-            entries[i].neighbors = list;
-        }
-
         RefTable {
             entries,
             index_of,
             vocab: vocab.finish(),
+        }
+    }
+
+    /// Fill in the evidence neighbours of the entries `refs`. The engine
+    /// links only candidate endpoints: nothing reads any other entry's
+    /// neighbours.
+    pub(crate) fn link(&mut self, store: &Store, refs: &[u32], max_fanout: usize) {
+        let plan = EvidencePlan::new(store.model());
+        for &r in refs {
+            let e = &self.entries[r as usize];
+            let ns = plan.neighbors(store, e.obj, e.class, max_fanout, |o| {
+                self.index_of.get(&o).copied()
+            });
+            self.entries[r as usize].neighbors = ns;
         }
     }
 
@@ -316,56 +329,104 @@ impl RefTable {
     }
 }
 
-/// Record evidence from a neighbouring object `n`: directly when `n` is
-/// itself a reconcilable reference, and — in both cases — through `n`
-/// (one extra hop) to the reconcilable references attached to it. The hop
-/// through a reconcilable neighbour yields channels like
-/// `(AuthoredBy, AuthoredBy)`: a person's *co-authors*, the evidence SEMEX's
-/// derived associations expose; the hop through a structural object yields
-/// correspondence-style evidence (sender → message → recipients).
-#[allow(clippy::too_many_arguments)]
-fn push_evidence(
-    store: &Store,
-    index_of: &HashMap<ObjectId, u32>,
-    channels: &mut HashMap<u32, Vec<u32>>,
-    direct_ch: u32,
-    n: ObjectId,
-    via_assoc: u16,
-    me: u32,
-    neighbor_reconcilable: bool,
-    _i_am_subject: bool,
-    max_fanout: usize,
-) {
-    if neighbor_reconcilable {
-        if let Some(&ni) = index_of.get(&n) {
-            let v = channels.entry(direct_ch).or_default();
-            if v.len() < max_fanout {
-                v.push(ni);
+/// The evidence associations of a model, scanned once per run instead of
+/// once per neighbour object.
+#[derive(Debug)]
+pub(crate) struct EvidencePlan {
+    /// Per class: the associations a reference of the class draws direct
+    /// evidence over, in model order — `(assoc, inverse, far side
+    /// reconcilable)`, forward before inverse for self-associations.
+    direct: Vec<Vec<(AssocId, bool, bool)>>,
+    /// Per class: evidence associations from an object of the class to a
+    /// reconcilable class (the second step of a two-hop channel).
+    hop: Vec<Vec<AssocId>>,
+}
+
+impl EvidencePlan {
+    pub fn new(model: &DomainModel) -> EvidencePlan {
+        let n = model.class_count();
+        let mut plan = EvidencePlan {
+            direct: vec![Vec::new(); n],
+            hop: vec![Vec::new(); n],
+        };
+        let reconcilable = |c: ClassId| model.class_def(c).reconcilable;
+        for (assoc, def) in model.assocs() {
+            if !def.recon_evidence {
+                continue;
+            }
+            plan.direct[def.domain.index()].push((assoc, false, reconcilable(def.range)));
+            plan.direct[def.range.index()].push((assoc, true, reconcilable(def.domain)));
+            if reconcilable(def.range) {
+                plan.hop[def.domain.index()].push(assoc);
             }
         }
+        plan
     }
-    // Hop: every reconcilable reference attached to `n` over any evidence
-    // association becomes a two-hop neighbour.
-    let model = store.model();
-    let n_class = store.class_of(n);
-    for (assoc2, def2) in model.assocs() {
-        if !def2.recon_evidence {
-            continue;
-        }
-        if def2.domain == n_class && model.class_def(def2.range).reconcilable {
-            for &m in store.neighbors(n, assoc2) {
-                if let Some(&mi) = index_of.get(&m) {
-                    if mi != me {
-                        let v = channels
-                            .entry(hop_channel(via_assoc, assoc2.0))
-                            .or_default();
-                        if v.len() < max_fanout {
-                            v.push(mi);
+
+    /// Evidence neighbours of reference `obj` of `class`, grouped by
+    /// channel in channel order, each list sorted, deduplicated and capped
+    /// at `max_fanout`. `key` maps a live object to its reference key
+    /// (`None` when it is not a reference); keys must sort in the table's
+    /// global order.
+    pub fn neighbors<K: Copy + Ord>(
+        &self,
+        store: &Store,
+        obj: ObjectId,
+        class: ClassId,
+        max_fanout: usize,
+        key: impl Fn(ObjectId) -> Option<K>,
+    ) -> Vec<(u32, Vec<K>)> {
+        let me = key(obj);
+        let mut channels: Vec<(u32, Vec<K>)> = Vec::new();
+        let mut push = |ch: u32, k: K| {
+            let v = match channels.iter().position(|(c, _)| *c == ch) {
+                Some(i) => &mut channels[i].1,
+                None => {
+                    channels.push((ch, Vec::new()));
+                    &mut channels.last_mut().expect("just pushed").1
+                }
+            };
+            if v.len() < max_fanout {
+                v.push(k);
+            }
+        };
+        for &(assoc, inverse, far_reconcilable) in &self.direct[class.index()] {
+            let far = if inverse {
+                store.inverse_neighbors(obj, assoc)
+            } else {
+                store.neighbors(obj, assoc)
+            };
+            for &n in far {
+                // Record evidence from the neighbouring object `n`: directly
+                // when it is itself a reference, and — in both cases —
+                // through it (one extra hop) to the references attached to
+                // it. The hop through a reference yields channels like
+                // `(AuthoredBy, AuthoredBy)`: a person's co-authors; the hop
+                // through a structural object yields correspondence-style
+                // evidence (sender → message → recipients).
+                if far_reconcilable {
+                    if let Some(k) = key(n) {
+                        push(direct_channel(assoc.0, inverse), k);
+                    }
+                }
+                for &assoc2 in &self.hop[store.class_of(n).index()] {
+                    for &m in store.neighbors(n, assoc2) {
+                        if let Some(k) = key(m) {
+                            if Some(k) != me {
+                                push(hop_channel(assoc.0, assoc2.0), k);
+                            }
                         }
                     }
                 }
             }
         }
+        channels.sort_by_key(|(c, _)| *c);
+        for (_, ns) in &mut channels {
+            ns.sort_unstable();
+            ns.dedup();
+            ns.truncate(max_fanout);
+        }
+        channels
     }
 }
 

@@ -16,7 +16,7 @@
 //! or `years.first()` over value pairs, so none of this changes a score's
 //! bits (see DESIGN.md, "Reconciliation").
 
-use crate::refs::{RefEntry, RefKind, RefTable, Vocab};
+use crate::refs::{RefEntry, RefKind, Vocab};
 use semex_similarity::email::name_form_matches;
 use semex_similarity::name::{last_names_compatible, names_compatible};
 use semex_similarity::venue::venue_similarity;
@@ -60,14 +60,28 @@ impl<'a> Pool<'a> {
         }
     }
 
+    /// Whether [`Pool::of`] an entry equals its one-member
+    /// [`Pool::of_members`] pool: no field holds more values than a pool
+    /// keeps, and no id repeats.
+    pub fn of_entry_is_pooled(e: &RefEntry) -> bool {
+        let distinct = |ids: &[u32]| {
+            ids.len() <= POOL_CAP && ids.iter().enumerate().all(|(i, id)| !ids[..i].contains(id))
+        };
+        distinct(&e.names)
+            && distinct(&e.emails)
+            && distinct(&e.titles)
+            && distinct(&e.abbrevs)
+            && e.years.len() <= POOL_CAP
+    }
+
     /// The pool of a cluster: the first 12 values of each field
     /// in member order, each distinct value kept once. Years keep their
     /// duplicates, since only the first one is compared.
-    pub fn of_members(table: &RefTable, members: &[u32]) -> Pool<'static> {
+    pub fn of_members(entries: &[RefEntry], members: &[u32]) -> Pool<'static> {
         let mut fields: [(Vec<u32>, usize); 4] = Default::default();
         let mut years = Vec::new();
         for &m in members {
-            let e = &table.entries[m as usize];
+            let e = &entries[m as usize];
             let values = [&e.names, &e.emails, &e.titles, &e.abbrevs];
             for ((kept, seen), from) in fields.iter_mut().zip(values) {
                 for &id in from.iter().take(POOL_CAP - *seen) {
@@ -224,12 +238,14 @@ pub fn attr_score(
 pub fn person_score(v: &Vocab, a: &Pool<'_>, b: &Pool<'_>, verdicts: &mut Verdicts) -> f64 {
     // E-mail evidence.
     let mut best: f64 = 0.0;
+    let mut email_hint: f64 = 0.0;
     for &ea in a.emails.iter() {
         for &eb in b.emails.iter() {
             let s = email_similarity(v, ea, eb);
             if s >= 1.0 {
                 return 1.0;
             }
+            email_hint = email_hint.max(s);
             // Same local part on another domain is weak: "ann@x.edu" /
             // "ann@y.org" are usually two different Anns. Names plus very
             // strong association evidence must corroborate.
@@ -268,16 +284,10 @@ pub fn person_score(v: &Vocab, a: &Pool<'_>, b: &Pool<'_>, verdicts: &mut Verdic
         }
     }
 
-    // Agreeing name + e-mail channels reinforce each other.
-    if name_best >= 0.78 && !a.emails.is_empty() && !b.emails.is_empty() {
-        let email_hint = a
-            .emails
-            .iter()
-            .flat_map(|&ea| b.emails.iter().map(move |&eb| email_similarity(v, ea, eb)))
-            .fold(0.0_f64, f64::max);
-        if email_hint >= 0.8 {
-            best = (best + 0.08).min(1.0);
-        }
+    // Agreeing name + e-mail channels reinforce each other (the hint stays
+    // 0 unless both sides have addresses).
+    if name_best >= 0.78 && email_hint >= 0.8 {
+        best = (best + 0.08).min(1.0);
     }
     if contradiction {
         // The veto is soft enough to be overridden only by a shared
@@ -350,7 +360,7 @@ pub fn organization_score(v: &Vocab, a: &Pool<'_>, b: &Pool<'_>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::refs::{RefEntry, VocabBuilder};
+    use crate::refs::{RefEntry, RefTable, VocabBuilder};
     use proptest::prelude::*;
     use semex_similarity::name::PersonName;
     use std::collections::HashMap;
@@ -633,7 +643,7 @@ mod tests {
             let mut verdicts = Verdicts::default();
             for ma in &members {
                 for mb in &members {
-                    let (pa, pb) = (Pool::of_members(&table, ma), Pool::of_members(&table, mb));
+                    let (pa, pb) = (Pool::of_members(&table.entries, ma), Pool::of_members(&table.entries, mb));
                     let (oa, ob) = (oracle::pooled(&table, ma), oracle::pooled(&table, mb));
                     fn bare<'a>(p: &oracle::Pool<'a>) -> oracle::Pool<'a> {
                         oracle::Pool {
@@ -669,6 +679,26 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// An entry reported as already pooled has exactly its one-member
+        /// pool, so its base score can stand in for that pooled score.
+        #[test]
+        fn entries_reported_pooled_equal_their_one_member_pools(raw in prop::collection::vec(raw_entry(), 1..4)) {
+            let table = table_of(&raw);
+            for (i, e) in table.entries.iter().enumerate() {
+                let (own, pooled) = (Pool::of(e), Pool::of_members(&table.entries, &[i as u32]));
+                let same = own.names == pooled.names
+                    && own.emails == pooled.emails
+                    && own.titles == pooled.titles
+                    && own.abbrevs == pooled.abbrevs
+                    && own.years == pooled.years;
+                prop_assert_eq!(Pool::of_entry_is_pooled(e), same, "{:?}", e);
+            }
+        }
+    }
+
     #[test]
     fn pools_keep_the_first_twelve_values_once_each() {
         let raw: Vec<RawEntry> = vec![
@@ -684,7 +714,7 @@ mod tests {
             (vec!["D".into()], vec![], vec![], vec![], vec![]),
         ];
         let table = table_of(&raw);
-        let p = Pool::of_members(&table, &[0, 1, 2, 3]);
+        let p = Pool::of_members(&table.entries, &[0, 1, 2, 3]);
         // 5 + 2 + 5 of the 6 Cs fill the cap; D is past it.
         assert_eq!(p.names.as_ref(), &[0, 1, 2]);
         assert_eq!(

@@ -18,7 +18,7 @@
 use crate::score::Verdicts;
 use crate::shard::Shard;
 use crate::UnionFind;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Scoring and graph callbacks the worklist needs from the engine.
 ///
@@ -82,13 +82,9 @@ pub(crate) fn run_shard<O: Oracle>(
 ) -> ShardOutcome {
     let m = shard.refs.len();
     let k = shard.pairs.len();
-    let pos: HashMap<u32, u32> = shard
-        .refs
-        .iter()
-        .enumerate()
-        .map(|(i, &g)| (g, i as u32))
-        .collect();
-    let local = |g: u32| -> Option<usize> { pos.get(&g).map(|&l| l as usize) };
+    // Shard references are ascending, so a global index's local one is its
+    // position: a binary search, cheaper than hashing on this hot path.
+    let local = |g: u32| -> Option<usize> { shard.refs.binary_search(&g).ok() };
 
     let mut uf = UnionFind::new(m);
     // Members hold *global* indices so pooled scoring needs no translation;
@@ -198,8 +194,8 @@ pub(crate) fn run_shard<O: Oracle>(
         } else {
             oracle.base(ci)
         };
-        let ev = oracle.evidence(a, b, &mut |g| match pos.get(&g) {
-            Some(&lg) => uf.find_const(lg as usize) as u64,
+        let ev = oracle.evidence(a, b, &mut |g| match local(g) {
+            Some(lg) => uf.find_const(lg) as u64,
             None => foreign_token(g),
         });
         let combined = oracle.combine(attr, ev);
@@ -264,6 +260,7 @@ pub(crate) fn run_shard<O: Oracle>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     /// An oracle over an explicit score table and neighbour graph. When
     /// `evidence_if_same` maps a candidate pair to a reference pair, the

@@ -28,6 +28,15 @@ echo "    stores and indexes round-trip byte-identically)"
 cargo test -q -p semex-store --test binary_fuzz_prop
 cargo test -q -p semex-index --test sidecar_fuzz_prop
 
+echo "==> incremental reconciliation equivalence (persistent state vs the"
+echo "    rebuild-and-filter oracle over random write sequences at every variant"
+echo "    and thread count, probe blocking vs filtered all-pairs, the platform vs"
+echo "    fresh-state twins with index batching on and off, and scale-independent"
+echo "    examined counts)"
+cargo test -q -p semex-recon --lib state::tests
+cargo test -q --test incremental_state_prop
+cargo test -q --test incremental_recon
+
 echo "==> index equivalence suite (parallel/incremental/pruned vs oracle)"
 cargo test -q -p semex-index --test index_equiv_prop
 cargo test -q -p semex-index --lib search::tests

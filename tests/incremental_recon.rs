@@ -74,6 +74,68 @@ fn incremental_is_much_cheaper_than_full() {
         inc.candidates,
         full.candidates
     );
+    assert_eq!(
+        full.examined, full.refs,
+        "a full run examines every reference"
+    );
+    assert!(
+        inc.examined * 2 < inc.refs,
+        "incremental examines a neighbourhood: {} of {} references",
+        inc.examined,
+        inc.refs
+    );
+}
+
+/// The same one-message ingest into a quarter-size space and a double-size
+/// one examines the same neighbourhood, give or take the few references
+/// whose blocking keys happen to collide with the message's names.
+#[test]
+fn one_message_examines_the_same_neighbourhood_at_any_scale() {
+    use semex::extract::{bibtex::extract_bibtex, email::extract_mbox, ExtractContext};
+    use semex::store::{SourceInfo, SourceKind};
+
+    let run = |scale: f64| {
+        let corpus = generate_personal(&CorpusConfig::tiny(64).scaled_size(scale));
+        let mut store = extract_corpus(&corpus);
+        // The people the message is about: two co-authors with a paper.
+        let src = store.register_source(SourceInfo::new("known", SourceKind::Bibliography));
+        let mut ctx = ExtractContext::new(&mut store, src);
+        extract_bibtex(
+            "@inproceedings{q, title={Quillwork for tidewater archives}, \
+             author={Zebulon Quillfeather and Ottoline Varga}, booktitle={Tidewater Days}, year=2004}",
+            &mut ctx,
+        )
+        .unwrap();
+        reconcile(&mut store, Variant::Full, &ReconConfig::default());
+
+        let src = store.register_source(SourceInfo::new("inbox", SourceKind::Email));
+        let first_new = store.slot_count() as u64;
+        let mut ctx = ExtractContext::new(&mut store, src);
+        extract_mbox(
+            "From probe 1\nFrom: Z. Quillfeather <zquillfeather@tidewater.example>\n\
+             To: Ottoline Varga <ovarga@tidewater.example>\nSubject: archives\n\nsee you\n",
+            &mut ctx,
+        )
+        .unwrap();
+        let new: Vec<ObjectId> = (first_new..store.slot_count() as u64)
+            .map(ObjectId)
+            .collect();
+        reconcile_incremental(&mut store, &new, Variant::Full, &ReconConfig::default())
+    };
+    let (small, large) = (run(0.25), run(2.0));
+    assert!(
+        large.refs >= 5 * small.refs,
+        "the spaces differ in size: {} vs {} references",
+        small.refs,
+        large.refs
+    );
+    assert!(small.merges > 0, "the message reconciles: {small:?}");
+    assert!(
+        large.examined.abs_diff(small.examined) <= 8,
+        "examined {} at x0.25 but {} at x2",
+        small.examined,
+        large.examined
+    );
 }
 
 #[test]
