@@ -2,7 +2,7 @@
 //! snapshot + replay recovery throughput.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use semex_journal::{recover, DurableStore, JournalConfig};
+use semex_journal::{recover, Journal, JournalConfig};
 use semex_model::names::{attr, class};
 use semex_model::Value;
 use semex_store::Store;
@@ -16,16 +16,15 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 /// Journal `n` add-object + add-attr pairs, one commit per pair.
-fn populate(durable: &mut DurableStore, n: usize) {
-    let person = durable.store().model().class(class::PERSON).unwrap();
-    let name = durable.store().model().attr(attr::NAME).unwrap();
+fn populate(store: &mut Store, journal: &mut Journal, n: usize) {
+    let person = store.model().class(class::PERSON).unwrap();
+    let name = store.model().attr(attr::NAME).unwrap();
     for i in 0..n {
-        let p = durable.store_mut().add_object(person);
-        durable
-            .store_mut()
+        let p = store.add_object(person);
+        store
             .add_attr(p, name, Value::from(format!("person number {i}")))
             .unwrap();
-        durable.commit().unwrap();
+        journal.commit(store).unwrap();
     }
 }
 
@@ -39,24 +38,23 @@ fn bench_append(c: &mut Criterion) {
             fsync,
             ..JournalConfig::default()
         };
-        let (mut durable, _) = DurableStore::open(&dir, cfg).unwrap();
-        let person = durable.store().model().class(class::PERSON).unwrap();
-        let name = durable.store().model().attr(attr::NAME).unwrap();
+        let (mut store, mut journal, _) = recover(&dir, cfg).unwrap();
+        let person = store.model().class(class::PERSON).unwrap();
+        let name = store.model().attr(attr::NAME).unwrap();
         if fsync {
             group.sample_size(20);
         }
         group.throughput(Throughput::Elements(2));
         group.bench_function(BenchmarkId::from_parameter(label), |b| {
             b.iter(|| {
-                let p = durable.store_mut().add_object(person);
-                durable
-                    .store_mut()
+                let p = store.add_object(person);
+                store
                     .add_attr(p, name, Value::from("benchmark person"))
                     .unwrap();
-                durable.commit().unwrap()
+                journal.commit(&mut store).unwrap()
             });
         });
-        drop(durable);
+        drop(journal);
         std::fs::remove_dir_all(&dir).ok();
     }
     group.finish();
@@ -72,9 +70,9 @@ fn bench_replay(c: &mut Criterion) {
             fsync: false,
             ..JournalConfig::default()
         };
-        let (mut durable, _) = DurableStore::open(&dir, cfg.clone()).unwrap();
-        populate(&mut durable, n);
-        drop(durable);
+        let (mut store, mut journal, _) = recover(&dir, cfg.clone()).unwrap();
+        populate(&mut store, &mut journal, n);
+        drop(journal);
 
         group.throughput(Throughput::Elements(2 * n as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
@@ -101,10 +99,10 @@ fn bench_replay_compacted(c: &mut Criterion) {
         fsync: false,
         ..JournalConfig::default()
     };
-    let (mut durable, _) = DurableStore::open(&dir, cfg.clone()).unwrap();
-    populate(&mut durable, n);
-    durable.compact().unwrap();
-    drop(durable);
+    let (mut store, mut journal, _) = recover(&dir, cfg.clone()).unwrap();
+    populate(&mut store, &mut journal, n);
+    journal.compact(&store).unwrap();
+    drop(journal);
 
     group.bench_function(BenchmarkId::from_parameter(n), |b| {
         b.iter(|| {
@@ -128,9 +126,8 @@ fn bench_snapshot_baseline(c: &mut Criterion) {
         fsync: false,
         ..JournalConfig::default()
     };
-    let (mut durable, _) = DurableStore::open(&dir, cfg).unwrap();
-    populate(&mut durable, n);
-    let (store, _) = durable.into_parts();
+    let (mut store, mut journal, _) = recover(&dir, cfg).unwrap();
+    populate(&mut store, &mut journal, n);
     std::fs::remove_dir_all(&dir).ok();
 
     let json = store.to_json().unwrap();

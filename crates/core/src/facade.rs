@@ -5,7 +5,7 @@ use semex_extract::csv::{parse_csv, Table};
 use semex_index::SearchIndex;
 use semex_integrate::{import_rows, ImportReport, SchemaMatcher};
 use semex_journal::{
-    CompactionReport, DurableStore, Journal, JournalConfig, JournalError, JournalIo, RecoveryReport,
+    CompactionReport, Journal, JournalConfig, JournalError, JournalIo, RecoveryReport,
 };
 use semex_query::summary::{neighborhood, Link};
 use semex_recon::{ReconState, Variant};
@@ -183,22 +183,45 @@ impl Snapshot {
     }
 }
 
+/// The one fold of store events into derived state: the keyword index
+/// (whose mark is `indexed`) and the reconciliation state (which keeps its
+/// own) each take the events past their mark. Returns the index's new
+/// mark.
+fn fold(
+    store: &Store,
+    index: &mut SearchIndex,
+    indexed: u64,
+    recon: Option<&mut ReconState>,
+) -> u64 {
+    index.apply_events(store, store.events_since(indexed));
+    if let Some(recon) = recon {
+        recon.apply(store);
+    }
+    store.event_head()
+}
+
 /// The assembled SEMEX platform.
+///
+/// Derived state (keyword index, reconciliation state) changes only through
+/// one publish step that folds the store's event log past each subscriber's
+/// mark: local writes, commits, replicated batches, recovery and
+/// [`Semex::snapshot`] all go through it.
 pub struct Semex {
     store: Store,
     index: SearchIndex,
+    /// The store event sequence the index reflects: its subscriber mark.
+    indexed: u64,
     config: SemexConfig,
     report: BuildReport,
-    /// Events already folded into the index but not yet journaled. Only
-    /// populated when `retain_events` is set (durable mode); otherwise
-    /// drained events are dropped after indexing.
-    pending_events: Vec<StoreEvent>,
-    retain_events: bool,
-    /// When set, mutating paths leave store events buffered instead of
-    /// folding them into the index per mutation; [`Semex::flush_index`]
-    /// drains the whole batch in one [`SearchIndex::apply_events`] call.
-    /// The serving layer's writer thread uses this so N coalesced writes
-    /// cost one index refresh.
+    /// The store event sequence the journal holds: events from here on are
+    /// the uncommitted backlog and stay in the log. `u64::MAX` when no
+    /// journal follows the store, so nothing is held back for one.
+    journaled: u64,
+    /// When set, mutating paths leave the index behind the log instead of
+    /// publishing per mutation; [`Semex::flush_index`] folds the whole batch
+    /// in one [`SearchIndex::apply_events`] call. The serving layer's
+    /// writer thread uses this so N coalesced writes cost one index
+    /// refresh.
     batch_index: bool,
     /// `Some(cause)` when the platform is in degraded read-only mode after
     /// a permanent journal failure: mutations are rejected with
@@ -233,12 +256,12 @@ impl Semex {
         // journal the same stream).
         store.enable_events();
         Semex {
+            indexed: store.event_head(),
             store,
             index,
             config,
             report,
-            pending_events: Vec::new(),
-            retain_events: false,
+            journaled: u64::MAX,
             batch_index: false,
             degraded: None,
             recon: None,
@@ -248,18 +271,14 @@ impl Semex {
     /// Clone the queryable state into an immutable [`Snapshot`].
     ///
     /// The snapshot reflects every mutation applied so far (including
-    /// event batches not yet flushed into the master's index: those are
-    /// folded into the *snapshot's* index copy so it is always current),
-    /// and never changes afterwards. This is what the serving layer
-    /// publishes to reader threads after each write batch.
+    /// events not yet published into the master's index: those are folded
+    /// into the *snapshot's* index copy so it is always current), and never
+    /// changes afterwards. The snapshot's store carries none of the logged
+    /// events. This is what the serving layer publishes to reader threads
+    /// after each write batch.
     pub fn snapshot(&self) -> Snapshot {
         let mut index = self.index.clone();
-        // Don't drain the master's buffer — peeking keeps the pending
-        // journal/flush bookkeeping untouched.
-        let pending = self.store.peek_events();
-        if !pending.is_empty() {
-            index.apply_events(&self.store, pending);
-        }
+        fold(&self.store, &mut index, self.indexed, None);
         Snapshot {
             store: self.store.clone(),
             index,
@@ -268,11 +287,11 @@ impl Semex {
 
     /// Switch index-refresh batching on or off. While batching is on,
     /// mutating calls ([`Semex::ingest`], [`Semex::integrate`],
-    /// [`Semex::assert_same`], …) leave their store events buffered and the
-    /// master's keyword index goes stale; one [`Semex::flush_index`] call
-    /// (or a durable [`DurableSemex::commit`]) folds the whole batch in at
-    /// once. Turning batching *off* flushes implicitly, so the index is
-    /// never silently stale outside a batch.
+    /// [`Semex::assert_same`], …) leave their store events unpublished and
+    /// the master's keyword index goes stale; one [`Semex::flush_index`]
+    /// call (or a durable [`DurableSemex::commit`]) folds the whole batch
+    /// in at once. Turning batching *off* flushes implicitly, so the index
+    /// is never silently stale outside a batch.
     pub fn set_index_batching(&mut self, on: bool) {
         self.batch_index = on;
         if !on {
@@ -280,21 +299,20 @@ impl Semex {
         }
     }
 
-    /// Drain all buffered store events into the keyword index in a single
-    /// delta application. A no-op when nothing is buffered; the batched
-    /// write path calls this exactly once per published snapshot.
-    pub fn flush_index(&mut self) {
-        let events = self.store.take_events();
-        if events.is_empty() {
-            return;
-        }
-        if let Some(recon) = &mut self.recon {
-            recon.drained(&self.store, &events);
-        }
-        self.index.apply_events(&self.store, &events);
-        if self.retain_events {
-            self.pending_events.extend(events);
-        }
+    /// The one publish path: every subscriber takes the store events past
+    /// its mark (one `fold`) — the keyword index in a single delta
+    /// application — then the log drops what the index and the journal
+    /// have passed. Returns the number of events the index took; a no-op
+    /// when there are none. The batched write path calls this exactly once
+    /// per published snapshot. (The reconciliation state is never behind
+    /// the index: it folds at every publish and at the start of every
+    /// run.)
+    pub fn flush_index(&mut self) -> usize {
+        let taken = self.store.event_head() - self.indexed;
+        let recon = self.recon.as_deref_mut();
+        self.indexed = fold(&self.store, &mut self.index, self.indexed, recon);
+        self.store.release_events(self.indexed.min(self.journaled));
+        taken as usize
     }
 
     /// When the platform is in degraded read-only mode, the journal failure
@@ -315,16 +333,13 @@ impl Semex {
         }
     }
 
-    /// Fold any recorded store mutations into the keyword index. Called by
-    /// every mutating facade path; a no-op while index batching is on
-    /// (the batch is drained once by [`Semex::flush_index`]). A full
-    /// [`SearchIndex::build`] remains only as the restore/recovery fallback
-    /// when no event stream exists.
+    /// Publish a mutation's events. Called by every mutating facade path;
+    /// a no-op while index batching is on (the batch is published once by
+    /// [`Semex::flush_index`]).
     fn refresh_index(&mut self) {
-        if self.batch_index {
-            return;
+        if !self.batch_index {
+            self.flush_index();
         }
-        self.flush_index();
     }
 
     /// The association database.
@@ -335,6 +350,11 @@ impl Semex {
     /// The keyword index.
     pub fn index(&self) -> &SearchIndex {
         &self.index
+    }
+
+    /// The reconciliation state, once a write has reconciled.
+    pub fn recon_state(&self) -> Option<&ReconState> {
+        self.recon.as_deref()
     }
 
     /// What the build pipeline did.
@@ -507,14 +527,15 @@ impl Semex {
     /// User feedback: assert that two objects denote different entities.
     /// Recorded as a cannot-link constraint respected by every future
     /// reconciliation run (ingest, integrate). Already-merged objects
-    /// cannot be split — returns `false` in that case so the caller can
-    /// tell the user.
-    pub fn assert_distinct(&mut self, a: ObjectId, b: ObjectId) -> bool {
+    /// cannot be split — returns `Ok(false)` in that case so the caller can
+    /// tell the user. Errors when the platform is degraded.
+    pub fn assert_distinct(&mut self, a: ObjectId, b: ObjectId) -> Result<bool, crate::SemexError> {
+        self.check_writable()?;
         if self.store.resolve(a) == self.store.resolve(b) {
-            return false;
+            return Ok(false);
         }
         self.config.recon.cannot_link.push((a, b));
-        true
+        Ok(true)
     }
 
     /// Store statistics (the numbers the demo's status pane shows).
@@ -569,8 +590,8 @@ impl Semex {
         config: SemexConfig,
         journal_config: JournalConfig,
     ) -> Result<(DurableSemex, RecoveryReport), JournalError> {
-        let (durable, report) = DurableStore::open(dir, journal_config)?;
-        Ok((Semex::assemble_durable(durable, config, &report), report))
+        let recovered = semex_journal::recover(dir.as_ref(), journal_config)?;
+        Ok(Semex::assemble_durable(recovered, config))
     }
 
     /// [`Semex::open_durable_with`] through an explicit [`JournalIo`]
@@ -581,59 +602,52 @@ impl Semex {
         journal_config: JournalConfig,
         io: std::sync::Arc<dyn JournalIo>,
     ) -> Result<(DurableSemex, RecoveryReport), JournalError> {
-        let (durable, report) = DurableStore::open_with_io(dir, journal_config, io)?;
-        Ok((Semex::assemble_durable(durable, config, &report), report))
+        let recovered = semex_journal::recover_with_io(dir.as_ref(), journal_config, io)?;
+        Ok(Semex::assemble_durable(recovered, config))
     }
 
     fn assemble_durable(
-        durable: DurableStore,
+        (store, journal, report): (Store, Journal, RecoveryReport),
         config: SemexConfig,
-        report: &RecoveryReport,
-    ) -> DurableSemex {
-        let (store, journal) = durable.into_parts();
-        let restored = Semex::restore_index(&store, &journal, report);
+    ) -> (DurableSemex, RecoveryReport) {
+        // Recovery left the replayed tail in the store's log: the publish
+        // below folds what a sidecar index lacks.
+        let sidecar = Semex::read_sidecar(&store, &journal, &report);
         // `fresh` = the sidecar already matches the recovered position
         // byte-for-byte, so re-writing it would only add an fsync to the
         // cold-open path the sidecar exists to make cheap.
-        let fresh = matches!(restored, Some((_, true)));
-        let index = restored
-            .map(|(index, _)| index)
-            .unwrap_or_else(|| SearchIndex::build_threaded(&store, config.recon.threads.max(1)));
-        let indexed = index.doc_count();
-        let mut semex = Semex::assemble(store, index, config, BuildReport::restored(indexed));
-        semex.retain_events = true;
+        let head = store.event_head();
+        let fresh = sidecar.as_ref().is_some_and(|(_, seq)| *seq == head);
+        let (index, indexed) = sidecar.unwrap_or_else(|| {
+            let index = SearchIndex::build_threaded(&store, config.recon.threads.max(1));
+            (index, head)
+        });
+        let mut semex = Semex::assemble(store, index, config, BuildReport::restored(0));
+        semex.indexed = indexed;
+        semex.journaled = head;
+        semex.flush_index();
+        semex.report = BuildReport::restored(semex.index.doc_count());
         let durable = DurableSemex { semex, journal };
         if !fresh {
             durable.refresh_index_sidecar();
         }
-        durable
+        (durable, report)
     }
 
-    /// Try to restore the keyword index from the epoch's binary sidecar
-    /// instead of rebuilding it from the store. The sidecar is *advisory*:
-    /// it is used only when intact (CRC-verified) and stamped inside the
-    /// recovered journal position — at `(epoch, seq)` with `seq` on the
-    /// replayed prefix — and the journal tail past its seq is folded in
-    /// with the same delta path live commits use (equivalence-tested
-    /// against a scratch build). Anything else returns `None` and the
-    /// caller rebuilds.
-    fn restore_index(
+    /// The keyword index from the epoch's binary sidecar, with the store
+    /// event sequence it reflects. The sidecar is *advisory*: it is used
+    /// only when intact (CRC-verified) and stamped inside the log recovery
+    /// left — `seq` between the snapshot's sequence and the head. Anything
+    /// else returns `None` and the caller rebuilds.
+    fn read_sidecar(
         store: &Store,
         journal: &Journal,
         report: &RecoveryReport,
-    ) -> Option<(SearchIndex, bool)> {
+    ) -> Option<(SearchIndex, u64)> {
         let bytes = journal.read_index_sidecar().ok()??;
         let sidecar = SearchIndex::from_sidecar(&bytes).ok()?;
-        if sidecar.epoch != report.epoch || sidecar.seq < report.base_seq {
-            return None;
-        }
-        let already_folded = usize::try_from(sidecar.seq - report.base_seq).ok()?;
-        let tail = report.replayed.get(already_folded..)?;
-        let mut index = sidecar.index;
-        if !tail.is_empty() {
-            index.apply_events(store, tail);
-        }
-        Some((index, tail.is_empty()))
+        let inside = (report.base_seq..=store.event_head()).contains(&sidecar.seq);
+        (sidecar.epoch == report.epoch && inside).then_some((sidecar.index, sidecar.seq))
     }
 
     /// Put an already-built platform under journal protection: the
@@ -646,11 +660,11 @@ impl Semex {
         journal_config: JournalConfig,
     ) -> Result<DurableSemex, JournalError> {
         let dir = dir.as_ref();
-        // The initial snapshot captures the store as-is; make sure no
-        // recorded-but-unindexed (and thus unjournaled) events stay behind,
-        // even when index batching is on.
+        // The initial snapshot captures the store as-is; publish first so
+        // the index reflects everything it holds, even under index batching.
         self.flush_index();
-        let (durable, report) = DurableStore::open_with(dir, journal_config, self.store)?;
+        let (store, journal, report) =
+            semex_journal::recover_or_adopt(dir, journal_config, self.store)?;
         if !report.initialized {
             return Err(JournalError::Invalid {
                 dir: dir.to_path_buf(),
@@ -658,12 +672,12 @@ impl Semex {
                     .into(),
             });
         }
-        let (store, journal) = durable.into_parts();
+        // The adopted store now numbers its events with the journal's
+        // sequence; the subscribers restart there.
         self.store = store;
-        self.store.enable_events();
         self.recon = None;
-        self.retain_events = true;
-        self.pending_events.clear();
+        self.indexed = self.store.event_head();
+        self.journaled = self.indexed;
         let durable = DurableSemex {
             semex: self,
             journal,
@@ -676,11 +690,14 @@ impl Semex {
 /// A [`Semex`] platform whose store mutations are journaled to disk.
 ///
 /// Dereferences to [`Semex`], so every query and mutation API is available
-/// directly. Mutations (ingest, integrate, assert-same feedback, …) are
-/// buffered as store events; call [`commit`](DurableSemex::commit) to make
-/// them durable — after a crash, [`Semex::open_durable`] recovers exactly
-/// the committed state. [`compact`](DurableSemex::compact) folds the
-/// journal into a fresh snapshot when replay gets long.
+/// directly. Mutations (ingest, integrate, assert-same feedback, …) stay in
+/// the store's event log past the journal's mark; call
+/// [`commit`](DurableSemex::commit) to make them durable — after a crash,
+/// [`Semex::open_durable`] recovers exactly the committed state. The store
+/// numbers its events with the journal's sequence, so the journal position,
+/// the index sidecar's stamp and a serving tenant's epoch are one counter.
+/// [`compact`](DurableSemex::compact) folds the journal into a fresh
+/// snapshot when replay gets long.
 pub struct DurableSemex {
     semex: Semex,
     journal: Journal,
@@ -692,10 +709,7 @@ impl fmt::Debug for DurableSemex {
             .field("semex", &self.semex)
             .field("journal_dir", &self.journal.dir())
             .field("epoch", &self.journal.epoch())
-            .field(
-                "pending_events",
-                &(self.semex.pending_events.len() + self.semex.store.pending_events()),
-            )
+            .field("pending_events", &self.pending_events())
             .finish()
     }
 }
@@ -720,29 +734,33 @@ impl DurableSemex {
         &self.journal
     }
 
-    /// Store events buffered since the last commit: those already folded
-    /// into the index plus any the store recorded since.
+    /// Store events logged since the last commit: the backlog past the
+    /// journal's mark.
     pub fn pending_events(&self) -> usize {
-        self.semex.pending_events.len() + self.semex.store.pending_events()
+        let head = self.semex.store.event_head();
+        head.saturating_sub(self.semex.journaled) as usize
     }
 
-    /// Append all buffered mutation events to the journal and fsync.
-    /// Returns the number of events made durable. On failure the events are
-    /// kept buffered (the index already reflects them), so a retry commits
-    /// them. Transient failures were already retried inside the journal; a
-    /// permanent failure (full disk, wedged log) additionally puts the
-    /// platform into degraded read-only mode — see
-    /// [`DurableSemex::try_recover_journal`].
+    /// Publish, then append the events past the journal's mark to the
+    /// journal and fsync. Returns the number of events made durable. On
+    /// failure the mark does not move, so the events stay logged (the index
+    /// already reflects them) and a retry commits them. Transient failures
+    /// were already retried inside the journal; a permanent failure (full
+    /// disk, wedged log) additionally puts the platform into degraded
+    /// read-only mode — see [`DurableSemex::try_recover_journal`].
     pub fn commit(&mut self) -> Result<usize, JournalError> {
-        // Force a drain even under index batching: commit is the batch
-        // boundary of the batched write path, and this is the single
+        // Publish even under index batching: commit is the batch boundary
+        // of the batched write path, and this is the single
         // `apply_events` call its mutations cost.
         self.semex.flush_index();
-        let events = std::mem::take(&mut self.semex.pending_events);
-        match self.journal.append_commit(&events) {
-            Ok(n) => Ok(n),
+        let backlog = self.semex.store.events_since(self.semex.journaled);
+        match self.journal.append_commit(backlog) {
+            Ok(n) => {
+                self.semex.journaled = self.semex.indexed;
+                self.semex.store.release_events(self.semex.indexed);
+                Ok(n)
+            }
             Err(e) => {
-                self.semex.pending_events = events;
                 if !e.is_transient() {
                     self.semex.degraded = Some(e.to_string());
                 }
@@ -754,51 +772,48 @@ impl DurableSemex {
     /// Attempt to leave degraded read-only mode after the underlying
     /// condition (full disk, I/O failure) has been fixed: re-open the
     /// journal in place — repairing any damaged or un-sealed tail — then
-    /// make the buffered mutation backlog durable again. On success the
-    /// platform accepts mutations again; returns the number of backlog
-    /// events committed. On failure the platform stays degraded, with the
-    /// backlog still buffered, and the call can simply be retried.
+    /// commit the backlog. On success the platform accepts mutations again;
+    /// returns the number of backlog events committed. On failure the
+    /// platform stays degraded, with the backlog still logged, and the call
+    /// can simply be retried.
     ///
     /// Also callable on a healthy platform, where it is just a reopen plus
-    /// commit.
+    /// commit. Refused, with nothing changed, on a follower whose
+    /// replicated batch failed part-way: its journal holds the whole batch
+    /// and its store only the prefix, which no reopen reconciles.
     pub fn try_recover_journal(&mut self) -> Result<usize, JournalError> {
-        self.semex.flush_index();
-        let durable_seq = self.journal.next_seq();
+        if self.semex.journaled != self.journal.next_seq() {
+            return Err(JournalError::Invalid {
+                dir: self.journal.dir().to_path_buf(),
+                reason: "the store holds only part of a journaled batch; \
+                         bootstrap the follower afresh"
+                    .into(),
+            });
+        }
         self.journal.reopen()?;
-        let mut events = std::mem::take(&mut self.semex.pending_events);
-        if self.journal.next_seq() > durable_seq {
-            // The failed commit actually reached the disk in full — only its
-            // acknowledgment was lost — and recovery just replayed it.
-            // Re-appending the backlog would duplicate those events.
-            events.clear();
-        }
-        match self.journal.append_commit(&events) {
-            Ok(n) => {
-                self.semex.degraded = None;
-                Ok(n)
-            }
-            Err(e) => {
-                self.semex.pending_events = events;
-                if !e.is_transient() {
-                    self.semex.degraded = Some(e.to_string());
-                }
-                Err(e)
-            }
-        }
+        // A failed commit that reached the disk in full — only its
+        // acknowledgment was lost — was just replayed: the journal's head
+        // moved past it, and re-appending it would duplicate its events.
+        self.semex.journaled = self.semex.journaled.max(self.journal.next_seq());
+        let n = self.commit()?;
+        self.semex.degraded = None;
+        Ok(n)
     }
 
     /// Apply one sealed commit batch shipped from a replication primary:
     /// journal it first (a follower's acknowledgment must never run ahead
-    /// of its own durability), then fold the events into the store and
-    /// the keyword index. Returns the new durable head — the journal's
-    /// next sequence number, which is the epoch the batch is acked at.
+    /// of its own durability), apply the events to the store, move the
+    /// journal's mark past them, and publish. Returns the new durable head
+    /// — the journal's next sequence number, which is the epoch the batch
+    /// is acked at.
     ///
-    /// The facade must have no local mutations buffered: a follower that
+    /// The facade must have no local mutations logged: a follower that
     /// wrote locally has diverged from the primary, and interleaving its
     /// events with shipped ones would corrupt both histories. Such a call
     /// is refused with [`JournalError::Invalid`] and nothing is applied.
     /// An event that fails to apply after journaling is logical
-    /// divergence; the platform degrades to read-only.
+    /// divergence: the prefix that did apply is published, and the
+    /// platform degrades to read-only.
     pub fn apply_replicated(&mut self, events: &[StoreEvent]) -> Result<u64, JournalError> {
         if let Some(cause) = &self.semex.degraded {
             return Err(JournalError::Invalid {
@@ -806,7 +821,7 @@ impl DurableSemex {
                 reason: format!("follower is degraded: {cause}"),
             });
         }
-        if self.semex.store.pending_events() > 0 || !self.semex.pending_events.is_empty() {
+        if self.pending_events() > 0 {
             return Err(JournalError::Invalid {
                 dir: self.journal.dir().to_path_buf(),
                 reason: "follower has local uncommitted mutations; it has diverged \
@@ -815,26 +830,22 @@ impl DurableSemex {
             });
         }
         self.journal.append_commit(events)?;
-        for event in events {
-            if let Err(e) = self.semex.store.apply_event(event) {
-                // The journal already sealed the batch but the store
-                // cannot represent it: logical divergence. Degrade —
-                // serving reads of a half-applied batch is worse than
-                // refusing writes.
-                let reason = format!("replicated event failed to apply: {e}");
-                self.semex.degraded = Some(reason.clone());
-                return Err(JournalError::Invalid {
-                    dir: self.journal.dir().to_path_buf(),
-                    reason,
-                });
-            }
+        let failed = events
+            .iter()
+            .find_map(|event| self.semex.store.apply_event(event).err());
+        self.semex.journaled = self.semex.store.event_head();
+        self.semex.flush_index();
+        if let Some(e) = failed {
+            // The journal already sealed the batch but the store cannot
+            // represent it: logical divergence. Degrade — serving reads of
+            // a half-applied batch is worse than refusing writes.
+            let reason = format!("replicated event failed to apply: {e}");
+            self.semex.degraded = Some(reason.clone());
+            return Err(JournalError::Invalid {
+                dir: self.journal.dir().to_path_buf(),
+                reason,
+            });
         }
-        self.semex.index.apply_events(&self.semex.store, events);
-        if let Some(recon) = &mut self.semex.recon {
-            recon.apply_events(&self.semex.store, events);
-        }
-        // `apply_event` replays outside the recorder, so nothing is
-        // buffered — the batch is fully folded and fully durable.
         Ok(self.journal.next_seq())
     }
 
@@ -853,20 +864,21 @@ impl DurableSemex {
     /// next open a rebuild), so failures are swallowed rather than failing
     /// the commit path that triggered it.
     fn refresh_index_sidecar(&self) {
-        // Stamp the position the index actually reflects. The index has
-        // folded every journaled event in (callers flush first), so that
-        // is the journal's next sequence number.
+        // Stamp the position the index actually reflects: its mark, which
+        // callers have published up to the journal's head.
         let bytes = self
             .semex
             .index
-            .to_sidecar(self.journal.epoch(), self.journal.next_seq());
+            .to_sidecar(self.journal.epoch(), self.semex.indexed);
         self.journal.write_index_sidecar(&bytes).ok();
     }
 
     /// Detach the platform from its journal (for read-only use of a
     /// recovered space). Uncommitted events are lost; the journal files
     /// stay valid on disk.
-    pub fn into_inner(self) -> Semex {
+    pub fn into_inner(mut self) -> Semex {
+        self.semex.journaled = u64::MAX;
+        self.semex.flush_index();
         self.semex
     }
 }
@@ -1120,6 +1132,10 @@ mod tests {
             Err(crate::SemexError::Degraded { .. }) => {}
             other => panic!("assert_same while degraded: {other:?}"),
         }
+        match durable.assert_distinct(ObjectId(0), ObjectId(1)) {
+            Err(crate::SemexError::Degraded { .. }) => {}
+            other => panic!("assert_distinct while degraded: {other:?}"),
+        }
 
         // While the disk is still full, recovery fails and the platform
         // stays degraded with the backlog intact.
@@ -1203,13 +1219,16 @@ mod tests {
         let halevy = semex.search("class:Person halevy", 1)[0].object;
         semex.assert_same(dong, halevy).unwrap();
         assert_eq!(semex.store().resolve(dong), semex.store().resolve(halevy));
-        assert!(!semex.assert_distinct(dong, halevy), "cannot split a merge");
+        assert!(
+            !semex.assert_distinct(dong, halevy).unwrap(),
+            "cannot split a merge"
+        );
 
         // A cannot-link on distinct objects survives future ingests.
         let c_person = semex.store().model().class(class::PERSON).unwrap();
         let objs: Vec<_> = semex.store().objects_of_class(c_person).take(2).collect();
         if objs.len() == 2 {
-            assert!(semex.assert_distinct(objs[0], objs[1]));
+            assert!(semex.assert_distinct(objs[0], objs[1]).unwrap());
             assert_eq!(semex.config().recon.cannot_link.len(), 1);
         }
     }
@@ -1275,14 +1294,16 @@ mod tests {
             base,
             "no per-mutation index deltas while batching"
         );
-        assert!(semex.store().pending_events() > 0, "events stay buffered");
-        semex.flush_index();
+        assert!(
+            semex.flush_index() > 0,
+            "events stay logged until published"
+        );
         assert_eq!(
             semex.index().apply_calls(),
             base + 1,
             "one drain per published batch, not one per mutation"
         );
-        assert_eq!(semex.store().pending_events(), 0);
+        assert_eq!(semex.flush_index(), 0, "nothing left to publish");
         for token in ["quokka", "axolotl", "pangolin"] {
             assert_eq!(semex.search(token, 5).len(), 1, "{token}");
         }
@@ -1335,11 +1356,10 @@ mod tests {
                 content: "From: mid@person.example\nSubject: numbat\n\nhi".into(),
             })
             .unwrap();
-        let pending = semex.store().pending_events();
-        assert!(pending > 0);
         let mid = semex.snapshot();
         assert_eq!(mid.search("numbat", 5).len(), 1, "snapshot is current");
-        assert_eq!(semex.store().pending_events(), pending, "not drained");
+        assert!(semex.search("numbat", 5).is_empty(), "master not published");
+        assert!(semex.flush_index() > 0, "not drained");
         semex.set_index_batching(false);
     }
 

@@ -262,7 +262,7 @@ pub fn write_ack_cursors(dir: &Path, cursors: &HashMap<String, u64>) -> std::io:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DurableStore, FaultPlan, JournalConfig};
+    use crate::{recover, recover_or_adopt, FaultPlan, JournalConfig};
     use semex_model::names::{attr, class};
     use semex_model::Value;
 
@@ -279,25 +279,22 @@ mod tests {
         dir
     }
 
-    fn add_person(durable: &mut DurableStore, label: &str) {
-        let person = durable.store().model().class(class::PERSON).unwrap();
-        let name = durable.store().model().attr(attr::NAME).unwrap();
-        let obj = durable.store_mut().add_object(person);
-        durable
-            .store_mut()
-            .add_attr(obj, name, Value::from(label))
-            .unwrap();
+    fn add_person(store: &mut Store, label: &str) {
+        let person = store.model().class(class::PERSON).unwrap();
+        let name = store.model().attr(attr::NAME).unwrap();
+        let obj = store.add_object(person);
+        store.add_attr(obj, name, Value::from(label)).unwrap();
     }
 
     #[test]
     fn export_ships_sealed_batches_only() {
         let dir = temp_dir("sealed");
-        let (mut durable, _) = DurableStore::open(&dir, test_config()).unwrap();
-        add_person(&mut durable, "Alice");
-        durable.commit().unwrap();
-        add_person(&mut durable, "Bob");
-        durable.commit().unwrap();
-        let head = durable.journal().next_seq();
+        let (mut store, mut journal, _) = recover(&dir, test_config()).unwrap();
+        add_person(&mut store, "Alice");
+        journal.commit(&mut store).unwrap();
+        add_person(&mut store, "Bob");
+        journal.commit(&mut store).unwrap();
+        let head = journal.next_seq();
 
         let tail = export_tail(&dir, &RealIo, 0).unwrap();
         assert!(tail.snapshot.is_none(), "fresh journal needs no snapshot");
@@ -317,44 +314,44 @@ mod tests {
     #[test]
     fn export_before_compacted_base_includes_snapshot() {
         let dir = temp_dir("compacted");
-        let (mut durable, _) = DurableStore::open(&dir, test_config()).unwrap();
-        add_person(&mut durable, "Alice");
-        durable.commit().unwrap();
-        durable.compact().unwrap();
-        let base = durable.journal().next_seq();
-        add_person(&mut durable, "Bob");
-        durable.commit().unwrap();
+        let (mut store, mut journal, _) = recover(&dir, test_config()).unwrap();
+        add_person(&mut store, "Alice");
+        journal.commit(&mut store).unwrap();
+        journal.compact(&store).unwrap();
+        let base = journal.next_seq();
+        add_person(&mut store, "Bob");
+        journal.commit(&mut store).unwrap();
 
         let tail = export_tail(&dir, &RealIo, 0).unwrap();
-        let (base_seq, mut store) = tail.snapshot.expect("seq 0 predates the compacted base");
+        let (base_seq, mut replica) = tail.snapshot.expect("seq 0 predates the compacted base");
         assert_eq!(base_seq, base);
         assert_eq!(tail.batches.len(), 1);
         assert_eq!(tail.batches[0].start_seq, base_seq);
         // Snapshot + shipped batches reproduces the primary's live state.
         for batch in &tail.batches {
             for event in &batch.events {
-                store.apply_event(event).unwrap();
+                replica.apply_event(event).unwrap();
             }
         }
-        assert_eq!(store.to_json().unwrap(), durable.store().to_json().unwrap());
+        assert_eq!(replica.to_json().unwrap(), store.to_json().unwrap());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn bootstrap_export_ships_the_base_snapshot_even_at_sequence_zero() {
         let src = temp_dir("boot-src");
-        let (mut durable, _) = DurableStore::open(&src, test_config()).unwrap();
-        add_person(&mut durable, "Alice");
-        durable.commit().unwrap();
-        let json = durable.store().to_json().unwrap();
+        let (mut store, mut journal, _) = recover(&src, test_config()).unwrap();
+        add_person(&mut store, "Alice");
+        journal.commit(&mut store).unwrap();
+        let json = store.to_json().unwrap();
 
         // A journal *born from* that populated store: the whole state
         // lives in its base snapshot and there are no batches to ship.
         let dir = temp_dir("boot-born");
         let seeded = Store::from_json(&json).unwrap();
-        let (born, report) = DurableStore::open_with(&dir, test_config(), seeded).unwrap();
+        let (born, born_journal, report) = recover_or_adopt(&dir, test_config(), seeded).unwrap();
         assert!(report.initialized);
-        let head = born.journal().next_seq();
+        let head = born_journal.next_seq();
 
         // A follower claiming to *be at* the head gets nothing — correct
         // for a peer that already materialized the base state.
@@ -367,7 +364,7 @@ mod tests {
         let (base_seq, shipped) = boot.snapshot.expect("bootstrap always ships the snapshot");
         assert_eq!(base_seq, head);
         assert!(boot.batches.is_empty());
-        assert_eq!(shipped.to_json().unwrap(), born.store().to_json().unwrap());
+        assert_eq!(shipped.to_json().unwrap(), born.to_json().unwrap());
 
         let _ = std::fs::remove_dir_all(&src);
         let _ = std::fs::remove_dir_all(&dir);
@@ -376,10 +373,10 @@ mod tests {
     #[test]
     fn export_position_inside_batch_is_divergence() {
         let dir = temp_dir("diverged");
-        let (mut durable, _) = DurableStore::open(&dir, test_config()).unwrap();
-        add_person(&mut durable, "Alice"); // several events in one batch
-        durable.commit().unwrap();
-        let head = durable.journal().next_seq();
+        let (mut store, mut journal, _) = recover(&dir, test_config()).unwrap();
+        add_person(&mut store, "Alice"); // several events in one batch
+        journal.commit(&mut store).unwrap();
+        let head = journal.next_seq();
         assert!(head > 1, "one add_person journals multiple events");
         let err = export_tail(&dir, &RealIo, 1).unwrap_err();
         assert!(matches!(err, JournalError::Invalid { .. }));
@@ -390,20 +387,20 @@ mod tests {
     fn installed_snapshot_recovers_at_base_seq() {
         let src = temp_dir("install-src");
         let dst = temp_dir("install-dst");
-        let (mut durable, _) = DurableStore::open(&src, test_config()).unwrap();
-        add_person(&mut durable, "Alice");
-        durable.commit().unwrap();
-        let head = durable.journal().next_seq();
-        let json = durable.store().to_json().unwrap();
+        let (mut store, mut journal, _) = recover(&src, test_config()).unwrap();
+        add_person(&mut store, "Alice");
+        journal.commit(&mut store).unwrap();
+        let head = journal.next_seq();
+        let json = store.to_json().unwrap();
 
         let store = Store::from_json(&json).unwrap();
         install_snapshot(&dst, head, &store).unwrap();
         // Installing twice is refused — the directory now holds a journal.
         assert!(install_snapshot(&dst, head, &store).is_err());
 
-        let (recovered, _) = DurableStore::open(&dst, test_config()).unwrap();
-        assert_eq!(recovered.journal().next_seq(), head);
-        assert_eq!(recovered.store().to_json().unwrap(), json);
+        let (recovered, recovered_journal, _) = recover(&dst, test_config()).unwrap();
+        assert_eq!(recovered_journal.next_seq(), head);
+        assert_eq!(recovered.to_json().unwrap(), json);
         let _ = std::fs::remove_dir_all(&src);
         let _ = std::fs::remove_dir_all(&dst);
     }
@@ -424,11 +421,11 @@ mod tests {
     #[test]
     fn export_excludes_unsealed_tail() {
         let dir = temp_dir("unsealed");
-        let (mut durable, _) = DurableStore::open(&dir, test_config()).unwrap();
-        add_person(&mut durable, "Alice");
-        durable.commit().unwrap();
-        let head = durable.journal().next_seq();
-        drop(durable);
+        let (mut store, mut journal, _) = recover(&dir, test_config()).unwrap();
+        add_person(&mut store, "Alice");
+        journal.commit(&mut store).unwrap();
+        let head = journal.next_seq();
+        drop(journal);
         // Append a framed record with no commit marker — a torn commit.
         let seg = std::fs::read_dir(&dir)
             .unwrap()
@@ -451,9 +448,9 @@ mod tests {
         // The hub reads through its own Io handle; verify the parse is
         // identical through an injector in pass-through mode.
         let dir = temp_dir("fault-pass");
-        let (mut durable, _) = DurableStore::open(&dir, test_config()).unwrap();
-        add_person(&mut durable, "Alice");
-        durable.commit().unwrap();
+        let (mut store, mut journal, _) = recover(&dir, test_config()).unwrap();
+        add_person(&mut store, "Alice");
+        journal.commit(&mut store).unwrap();
         let io = crate::FaultIo::new(FaultPlan::None);
         let tail = export_tail(&dir, &io, 0).unwrap();
         let real = export_tail(&dir, &RealIo, 0).unwrap();

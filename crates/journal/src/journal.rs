@@ -230,11 +230,6 @@ pub struct RecoveryReport {
     /// truncations, undeletable stale files). The recovered *state* is
     /// unaffected, but the next recovery may re-report the same damage.
     pub warnings: Vec<String>,
-    /// The committed events replayed on top of the snapshot, in order
-    /// (`events_applied` of them). A caller holding a persisted view of
-    /// the snapshot state — the index sidecar — folds exactly these in to
-    /// catch up without a rebuild.
-    pub replayed: Vec<StoreEvent>,
 }
 
 /// What compaction did.
@@ -284,9 +279,9 @@ struct Checkpoint {
 ///
 /// The journal owns the files inside one directory (see the module docs of
 /// [`crate::segment`] for the layout). It tracks the current epoch and the
-/// global event sequence number; [`Journal::commit`] drains a recording
-/// store's event buffer, appends one framed record per event plus a commit
-/// marker, and fsyncs.
+/// global event sequence number; [`Journal::commit`] appends the events a
+/// recording store logged past that number, one framed record per event
+/// plus a commit marker, and fsyncs.
 #[derive(Debug)]
 pub struct Journal {
     dir: PathBuf,
@@ -380,10 +375,14 @@ impl Journal {
         }
     }
 
-    /// Drain a recording store's event buffer and append-commit it.
+    /// Append-commit the events a recording store logged past the
+    /// journal's head, then release them from the store's log. The store
+    /// must number its events with the journal's sequence (a recovered
+    /// store does). On failure the events stay logged for a retry.
     pub fn commit(&mut self, store: &mut Store) -> Result<usize, JournalError> {
-        let events = store.take_events();
-        self.append_commit(&events)
+        let n = self.append_commit(store.events_since(self.next_seq))?;
+        store.release_events(self.next_seq);
+        Ok(n)
     }
 
     /// Fsync the current segment (no-op when `fsync` is off or nothing is
@@ -410,7 +409,7 @@ impl Journal {
 
     /// Fold the journal into a fresh snapshot of `store` under `epoch + 1`
     /// and delete the files of the previous epoch. The store must have no
-    /// undrained events (commit first); `store` must be the state produced
+    /// uncommitted events (commit first); `store` must be the state produced
     /// by snapshot + all journaled events. Transient snapshot-write
     /// failures are retried with backoff; a failed compaction leaves the
     /// journal in its previous epoch, fully usable.
@@ -458,8 +457,8 @@ impl Journal {
     /// any un-sealed or damaged tail), discard the wedged state, and
     /// position appends at the recovered tail. Returns the recovered store
     /// and the recovery report; the caller decides what to do with the
-    /// store (a [`crate::DurableStore`]-level caller usually keeps its
-    /// richer in-memory state and re-appends its backlog instead).
+    /// store (a platform usually keeps its richer in-memory state and
+    /// re-appends its backlog instead).
     pub fn reopen(&mut self) -> Result<(Store, RecoveryReport), JournalError> {
         let (store, journal, report) = recover_inner(
             &self.dir.clone(),
@@ -857,6 +856,10 @@ fn is_snapshot_damage(e: &JournalError) -> bool {
 /// record run), and return the recovered store plus an append-ready
 /// journal.
 ///
+/// The recovered store records events numbered with the journal's
+/// sequence: its log starts at the snapshot's sequence and holds the
+/// replayed tail, so its head is the journal's next sequence number.
+///
 /// An empty (or absent) directory is initialized with an empty
 /// builtin-model store. Replay damage is *repaired*: the damaged segment is
 /// truncated to its last sealed commit and unreachable later segments are
@@ -889,16 +892,6 @@ pub fn recover_with_io(
     recover_inner(dir, config, io, None)
 }
 
-/// [`recover_or_adopt`] through an explicit [`JournalIo`] implementation.
-pub fn recover_or_adopt_with_io(
-    dir: &Path,
-    config: JournalConfig,
-    io: Arc<dyn JournalIo>,
-    initial: Store,
-) -> Result<(Store, Journal, RecoveryReport), JournalError> {
-    recover_inner(dir, config, io, Some(initial))
-}
-
 fn recover_inner(
     dir: &Path,
     config: JournalConfig,
@@ -921,8 +914,9 @@ fn recover_inner(
             });
         }
         // Fresh directory: initialize epoch 0.
-        let store = initial.unwrap_or_else(Store::with_builtin_model);
+        let mut store = initial.unwrap_or_else(Store::with_builtin_model);
         write_snapshot(io.as_ref(), dir, 0, 0, &store, config.fsync)?;
+        store.enable_events_at(0);
         let journal = Journal {
             dir: dir.to_path_buf(),
             config,
@@ -943,7 +937,6 @@ fn recover_inner(
             damage: None,
             initialized: true,
             warnings: Vec::new(),
-            replayed: Vec::new(),
         };
         return Ok((store, journal, report));
     }
@@ -995,8 +988,12 @@ fn recover_inner(
         damage: None,
         initialized: false,
         warnings: fallback_warnings,
-        replayed: Vec::new(),
     };
+    // Replay records into the store's event log, numbered from the
+    // snapshot's sequence: the recovered store holds the replayed tail, and
+    // a caller with a persisted view of an earlier position (the index
+    // sidecar) reads the events past it from there.
+    store.enable_events_at(meta.seq);
 
     // Clean up files a crashed compaction left behind: older (or damaged
     // same-epoch, other-format) snapshots, other-epoch segments, stale
@@ -1096,7 +1093,6 @@ fn recover_inner(
                             }
                             committed_seq += 1;
                             report.events_applied += 1;
-                            report.replayed.push(event);
                         }
                         watermark = Some((pos, offset as u64));
                     } else {

@@ -4,7 +4,7 @@
 
 mod common;
 
-use semex_journal::{segment, DurableStore, JournalConfig};
+use semex_journal::{recover, segment, JournalConfig};
 use semex_model::names::{assoc, attr, class};
 use semex_model::Value;
 use semex_store::{ObjectId, SourceInfo, SourceKind, Store};
@@ -79,32 +79,32 @@ fn snapshot_names(dir: &Path) -> Vec<String> {
 #[test]
 fn binary_space_round_trips_through_commit_compact_reopen() {
     let dir = scratch("roundtrip");
-    let (mut durable, report) = DurableStore::open(&dir, config()).unwrap();
+    let (mut store, mut journal, report) = recover(&dir, config()).unwrap();
     assert!(report.initialized);
     // The fresh epoch-0 snapshot is already binary.
     assert_eq!(snapshot_names(&dir), vec![segment::snapshot_file_name(0)]);
 
-    scenario(durable.store_mut());
-    durable.commit().unwrap();
-    let live = durable.store().clone();
-    drop(durable);
+    scenario(&mut store);
+    journal.commit(&mut store).unwrap();
+    let live = store.clone();
+    drop(journal);
 
     // Reopen: recover from binary snapshot + WAL replay.
-    let (mut durable, report) = DurableStore::open(&dir, config()).unwrap();
+    let (store, mut journal, report) = recover(&dir, config()).unwrap();
     assert!(report.damage.is_none(), "{report:?}");
     assert!(report.warnings.is_empty(), "{:?}", report.warnings);
-    assert_same_store(durable.store(), &live);
+    assert_same_store(&store, &live);
 
     // Compact folds everything into a binary epoch-1 snapshot.
-    let c = durable.compact().unwrap();
+    let c = journal.compact(&store).unwrap();
     assert_eq!(c.epoch, 1);
     assert_eq!(snapshot_names(&dir), vec![segment::snapshot_file_name(1)]);
-    drop(durable);
+    drop(journal);
 
-    let (durable, report) = DurableStore::open(&dir, config()).unwrap();
+    let (store, _, report) = recover(&dir, config()).unwrap();
     assert_eq!(report.epoch, 1);
     assert!(report.damage.is_none(), "{report:?}");
-    assert_same_store(durable.store(), &live);
+    assert_same_store(&store, &live);
     fs::remove_dir_all(&dir).ok();
 }
 
@@ -117,26 +117,26 @@ fn json_space_migrates_to_binary_at_compaction() {
     common::write_legacy_json_space(&dir, &original);
 
     // The JSON snapshot is still read, and writes land in its epoch's log.
-    let (mut durable, report) = DurableStore::open(&dir, config()).unwrap();
+    let (mut store, mut journal, report) = recover(&dir, config()).unwrap();
     assert!(report.damage.is_none(), "{report:?}");
     assert_eq!(report.epoch, 0);
-    assert_same_store(durable.store(), &original);
-    let person = durable.store().model().class(class::PERSON).unwrap();
-    durable.store_mut().add_object(person);
-    durable.commit().unwrap();
-    let live = durable.store().clone();
-    drop(durable);
+    assert_same_store(&store, &original);
+    let person = store.model().class(class::PERSON).unwrap();
+    store.add_object(person);
+    journal.commit(&mut store).unwrap();
+    let live = store.clone();
+    drop(journal);
 
-    let (mut durable, report) = DurableStore::open(&dir, config()).unwrap();
+    let (store, mut journal, report) = recover(&dir, config()).unwrap();
     assert!(report.damage.is_none(), "{report:?}");
     assert_eq!(report.events_applied, 1);
-    assert_same_store(durable.store(), &live);
+    assert_same_store(&store, &live);
 
     // The next compaction rewrites the space in binary: nothing but the
     // binary snapshot (and any index sidecar) is left.
-    let c = durable.compact().unwrap();
+    let c = journal.compact(&store).unwrap();
     assert_eq!(c.epoch, 1);
-    drop(durable);
+    drop(journal);
     let names = file_names(&dir);
     assert!(
         names
@@ -146,21 +146,21 @@ fn json_space_migrates_to_binary_at_compaction() {
     );
     assert_eq!(snapshot_names(&dir), vec![segment::snapshot_file_name(1)]);
 
-    let (durable, report) = DurableStore::open(&dir, config()).unwrap();
+    let (store, _, report) = recover(&dir, config()).unwrap();
     assert_eq!(report.epoch, 1);
     assert!(report.damage.is_none(), "{report:?}");
-    assert_same_store(durable.store(), &live);
+    assert_same_store(&store, &live);
     fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn damaged_binary_snapshot_falls_back_to_previous_epoch() {
     let dir = scratch("fallback");
-    let (mut durable, _) = DurableStore::open(&dir, config()).unwrap();
-    scenario(durable.store_mut());
-    durable.commit().unwrap();
-    let live = durable.store().clone();
-    drop(durable);
+    let (mut store, mut journal, _) = recover(&dir, config()).unwrap();
+    scenario(&mut store);
+    journal.commit(&mut store).unwrap();
+    let live = store.clone();
+    drop(journal);
 
     // Save the epoch-0 files, compact to epoch 1, then put the epoch-0
     // files back: exactly the directory a crash between "write new
@@ -173,9 +173,9 @@ fn damaged_binary_snapshot_falls_back_to_previous_epoch() {
             (name.clone(), fs::read(dir.join(&name)).unwrap())
         })
         .collect();
-    let (mut durable, _) = DurableStore::open(&dir, config()).unwrap();
-    durable.compact().unwrap();
-    drop(durable);
+    let (store, mut journal, _) = recover(&dir, config()).unwrap();
+    journal.compact(&store).unwrap();
+    drop(journal);
     for (name, bytes) in &saved {
         if !dir.join(name).exists() {
             fs::write(dir.join(name), bytes).unwrap();
@@ -191,7 +191,7 @@ fn damaged_binary_snapshot_falls_back_to_previous_epoch() {
 
     // Recovery reports the damage as a warning, falls back to epoch 0, and
     // still reaches the full committed state by replaying epoch 0's WAL.
-    let (durable, report) = DurableStore::open(&dir, config()).unwrap();
+    let (store, _, report) = recover(&dir, config()).unwrap();
     assert_eq!(report.epoch, 0, "fell back to the previous epoch");
     assert!(
         report.warnings.iter().any(|w| w.contains("snapshot")),
@@ -199,18 +199,18 @@ fn damaged_binary_snapshot_falls_back_to_previous_epoch() {
         report.warnings
     );
     assert!(!snap1.exists(), "damaged snapshot removed");
-    assert_same_store(durable.store(), &live);
+    assert_same_store(&store, &live);
     fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn damaged_sole_binary_snapshot_is_a_typed_error() {
     let dir = scratch("sole");
-    let (mut durable, _) = DurableStore::open(&dir, config()).unwrap();
-    scenario(durable.store_mut());
-    durable.commit().unwrap();
-    durable.compact().unwrap();
-    drop(durable);
+    let (mut store, mut journal, _) = recover(&dir, config()).unwrap();
+    scenario(&mut store);
+    journal.commit(&mut store).unwrap();
+    journal.compact(&store).unwrap();
+    drop(journal);
 
     let snap = dir.join(segment::snapshot_file_name(1));
     let mut bytes = fs::read(&snap).unwrap();
@@ -218,7 +218,7 @@ fn damaged_sole_binary_snapshot_is_a_typed_error() {
     bytes[last] ^= 0x01;
     fs::write(&snap, &bytes).unwrap();
 
-    let err = DurableStore::open(&dir, config()).unwrap_err();
+    let err = recover(&dir, config()).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("no usable snapshot"), "typed error: {msg}");
     fs::remove_dir_all(&dir).ok();
@@ -227,11 +227,11 @@ fn damaged_sole_binary_snapshot_is_a_typed_error() {
 #[test]
 fn truncated_binary_snapshot_falls_back_too() {
     let dir = scratch("truncated");
-    let (mut durable, _) = DurableStore::open(&dir, config()).unwrap();
-    scenario(durable.store_mut());
-    durable.commit().unwrap();
-    let live = durable.store().clone();
-    drop(durable);
+    let (mut store, mut journal, _) = recover(&dir, config()).unwrap();
+    scenario(&mut store);
+    journal.commit(&mut store).unwrap();
+    let live = store.clone();
+    drop(journal);
 
     let saved: Vec<(String, Vec<u8>)> = fs::read_dir(&dir)
         .unwrap()
@@ -241,9 +241,9 @@ fn truncated_binary_snapshot_falls_back_too() {
             (name.clone(), fs::read(dir.join(&name)).unwrap())
         })
         .collect();
-    let (mut durable, _) = DurableStore::open(&dir, config()).unwrap();
-    durable.compact().unwrap();
-    drop(durable);
+    let (store, mut journal, _) = recover(&dir, config()).unwrap();
+    journal.compact(&store).unwrap();
+    drop(journal);
     for (name, bytes) in &saved {
         if !dir.join(name).exists() {
             fs::write(dir.join(name), bytes).unwrap();
@@ -255,9 +255,9 @@ fn truncated_binary_snapshot_falls_back_too() {
     let bytes = fs::read(&snap1).unwrap();
     fs::write(&snap1, &bytes[..bytes.len() / 2]).unwrap();
 
-    let (durable, report) = DurableStore::open(&dir, config()).unwrap();
+    let (store, _, report) = recover(&dir, config()).unwrap();
     assert_eq!(report.epoch, 0);
     assert!(!report.warnings.is_empty());
-    assert_same_store(durable.store(), &live);
+    assert_same_store(&store, &live);
     fs::remove_dir_all(&dir).ok();
 }

@@ -1,10 +1,10 @@
 //! Crash-recovery fault injection: torn writes, flipped bytes, duplicated
-//! segments. The contract under test: after any damage, `DurableStore::open`
+//! segments. The contract under test: after any damage, `recover`
 //! recovers every event up to the damage point, repairs the log, and the
 //! recovered store is identical — objects, attributes, triples, merges,
 //! sources — to the store that produced those events.
 
-use semex_journal::{DamageKind, DurableStore, JournalConfig};
+use semex_journal::{recover, DamageKind, JournalConfig};
 use semex_model::names::{assoc, attr, class};
 use semex_model::Value;
 use semex_store::{ObjectId, SourceInfo, SourceKind, Store};
@@ -115,54 +115,54 @@ fn only_segment(dir: &Path) -> PathBuf {
 #[test]
 fn fresh_open_commit_reopen_round_trips() {
     let dir = scratch("roundtrip");
-    let (mut durable, report) = DurableStore::open(&dir, config()).unwrap();
+    let (mut store, mut journal, report) = recover(&dir, config()).unwrap();
     assert!(report.initialized);
     assert!(report.damage.is_none());
 
-    scenario(durable.store_mut());
-    let committed = durable.commit().unwrap();
+    scenario(&mut store);
+    let committed = journal.commit(&mut store).unwrap();
     assert!(committed >= 9, "scenario should journal at least 9 events");
-    assert_eq!(durable.pending_events(), 0);
-    let live = durable.store().clone();
-    drop(durable);
+    assert_eq!(store.event_head() - journal.next_seq(), 0);
+    let live = store.clone();
+    drop(journal);
 
-    let (reopened, report) = DurableStore::open(&dir, config()).unwrap();
+    let (reopened, _, report) = recover(&dir, config()).unwrap();
     assert!(!report.initialized);
     assert!(report.damage.is_none(), "{report:?}");
     assert_eq!(report.events_applied, committed as u64);
-    assert_same_store(reopened.store(), &live);
-    assert_same_store(reopened.store(), &expected_after_scenario());
+    assert_same_store(&reopened, &live);
+    assert_same_store(&reopened, &expected_after_scenario());
     fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn uncommitted_events_are_lost_committed_ones_survive() {
     let dir = scratch("uncommitted");
-    let (mut durable, _) = DurableStore::open(&dir, config()).unwrap();
-    scenario(durable.store_mut());
-    durable.commit().unwrap();
+    let (mut store, mut journal, _) = recover(&dir, config()).unwrap();
+    scenario(&mut store);
+    journal.commit(&mut store).unwrap();
     // Mutate again but crash (drop) without committing.
-    extra_event(durable.store_mut());
-    assert!(durable.pending_events() > 0);
-    drop(durable);
+    extra_event(&mut store);
+    assert!(store.event_head() - journal.next_seq() > 0);
+    drop(journal);
 
-    let (reopened, report) = DurableStore::open(&dir, config()).unwrap();
+    let (reopened, _, report) = recover(&dir, config()).unwrap();
     assert!(report.damage.is_none());
-    assert_same_store(reopened.store(), &expected_after_scenario());
+    assert_same_store(&reopened, &expected_after_scenario());
     fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn torn_tail_recovers_everything_before_the_tear() {
     let dir = scratch("torn");
-    let (mut durable, _) = DurableStore::open(&dir, config()).unwrap();
-    scenario(durable.store_mut());
-    durable.commit().unwrap();
+    let (mut store, mut journal, _) = recover(&dir, config()).unwrap();
+    scenario(&mut store);
+    journal.commit(&mut store).unwrap();
     let segment = only_segment(&dir);
     let len_before = fs::metadata(&segment).unwrap().len();
-    extra_event(durable.store_mut());
-    durable.commit().unwrap();
-    drop(durable);
+    extra_event(&mut store);
+    journal.commit(&mut store).unwrap();
+    drop(journal);
 
     // Tear the last record: cut the file mid-way through it, as a crash
     // during append would.
@@ -171,34 +171,34 @@ fn torn_tail_recovers_everything_before_the_tear() {
     let bytes = fs::read(&segment).unwrap();
     fs::write(&segment, &bytes[..(len_before + 4) as usize]).unwrap();
 
-    let (reopened, report) = DurableStore::open(&dir, config()).unwrap();
+    let (reopened, _, report) = recover(&dir, config()).unwrap();
     let damage = report.damage.expect("torn tail must be reported");
     assert_eq!(damage.kind, DamageKind::Torn);
     assert_eq!(
         damage.offset, len_before,
         "damage at the last record's start"
     );
-    assert_same_store(reopened.store(), &expected_after_scenario());
+    assert_same_store(&reopened, &expected_after_scenario());
     drop(reopened);
 
     // Recovery repaired the log: a second open is clean and identical.
-    let (again, report) = DurableStore::open(&dir, config()).unwrap();
+    let (again, _, report) = recover(&dir, config()).unwrap();
     assert!(report.damage.is_none(), "{report:?}");
-    assert_same_store(again.store(), &expected_after_scenario());
+    assert_same_store(&again, &expected_after_scenario());
     fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn flipped_byte_recovers_everything_before_the_corruption() {
     let dir = scratch("flipped");
-    let (mut durable, _) = DurableStore::open(&dir, config()).unwrap();
-    scenario(durable.store_mut());
-    durable.commit().unwrap();
+    let (mut store, mut journal, _) = recover(&dir, config()).unwrap();
+    scenario(&mut store);
+    journal.commit(&mut store).unwrap();
     let segment = only_segment(&dir);
     let len_before = fs::metadata(&segment).unwrap().len() as usize;
-    extra_event(durable.store_mut());
-    durable.commit().unwrap();
-    drop(durable);
+    extra_event(&mut store);
+    journal.commit(&mut store).unwrap();
+    drop(journal);
 
     // Flip one payload byte inside the last record.
     let mut bytes = fs::read(&segment).unwrap();
@@ -207,26 +207,26 @@ fn flipped_byte_recovers_everything_before_the_corruption() {
     bytes[target] ^= 0x40;
     fs::write(&segment, &bytes).unwrap();
 
-    let (reopened, report) = DurableStore::open(&dir, config()).unwrap();
+    let (reopened, _, report) = recover(&dir, config()).unwrap();
     let damage = report.damage.expect("corruption must be reported");
     assert_eq!(damage.kind, DamageKind::Corrupt);
     assert_eq!(damage.offset, len_before as u64);
-    assert_same_store(reopened.store(), &expected_after_scenario());
+    assert_same_store(&reopened, &expected_after_scenario());
     drop(reopened);
 
-    let (again, report) = DurableStore::open(&dir, config()).unwrap();
+    let (again, _, report) = recover(&dir, config()).unwrap();
     assert!(report.damage.is_none(), "{report:?}");
-    assert_same_store(again.store(), &expected_after_scenario());
+    assert_same_store(&again, &expected_after_scenario());
     fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn corruption_in_the_middle_keeps_only_the_prefix() {
     let dir = scratch("midflip");
-    let (mut durable, _) = DurableStore::open(&dir, config()).unwrap();
-    scenario(durable.store_mut());
-    durable.commit().unwrap();
-    drop(durable);
+    let (mut store, mut journal, _) = recover(&dir, config()).unwrap();
+    scenario(&mut store);
+    journal.commit(&mut store).unwrap();
+    drop(journal);
 
     // Flip a byte inside the FIRST record: everything after it is lost,
     // and recovery falls back to the snapshot (an empty store).
@@ -236,20 +236,19 @@ fn corruption_in_the_middle_keeps_only_the_prefix() {
     bytes[target] ^= 0x01;
     fs::write(&segment, &bytes).unwrap();
 
-    let (reopened, report) = DurableStore::open(&dir, config()).unwrap();
+    let (mut reopened, mut journal, report) = recover(&dir, config()).unwrap();
     let damage = report.damage.expect("corruption must be reported");
     assert_eq!(damage.kind, DamageKind::Corrupt);
     assert_eq!(report.events_applied, 0);
-    assert_same_store(reopened.store(), &Store::with_builtin_model());
+    assert_same_store(&reopened, &Store::with_builtin_model());
 
     // The log still works after repair: journal the scenario again.
-    let mut reopened = reopened;
-    scenario(reopened.store_mut());
-    reopened.commit().unwrap();
-    drop(reopened);
-    let (again, report) = DurableStore::open(&dir, config()).unwrap();
+    scenario(&mut reopened);
+    journal.commit(&mut reopened).unwrap();
+    drop(journal);
+    let (again, _, report) = recover(&dir, config()).unwrap();
     assert!(report.damage.is_none(), "{report:?}");
-    assert_same_store(again.store(), &expected_after_scenario());
+    assert_same_store(&again, &expected_after_scenario());
     fs::remove_dir_all(&dir).ok();
 }
 
@@ -262,10 +261,10 @@ fn duplicated_segment_stops_replay_at_the_boundary() {
         fsync: false,
         ..JournalConfig::default()
     };
-    let (mut durable, _) = DurableStore::open(&dir, cfg.clone()).unwrap();
-    scenario(durable.store_mut());
-    durable.commit().unwrap();
-    drop(durable);
+    let (mut store, mut journal, _) = recover(&dir, cfg.clone()).unwrap();
+    scenario(&mut store);
+    journal.commit(&mut store).unwrap();
+    drop(journal);
 
     let mut segments: Vec<PathBuf> = fs::read_dir(&dir)
         .unwrap()
@@ -289,33 +288,33 @@ fn duplicated_segment_stops_replay_at_the_boundary() {
     let duplicate = dir.join(semex_journal::segment::segment_file_name(0, next_index));
     fs::copy(&segments[0], &duplicate).unwrap();
 
-    let (reopened, report) = DurableStore::open(&dir, cfg.clone()).unwrap();
+    let (reopened, _, report) = recover(&dir, cfg.clone()).unwrap();
     let damage = report.damage.expect("duplicate segment must be reported");
     assert_eq!(damage.kind, DamageKind::SequenceMismatch);
     assert_eq!(damage.segment, duplicate);
     // Every genuine event was replayed; nothing was applied twice.
-    assert_same_store(reopened.store(), &expected_after_scenario());
+    assert_same_store(&reopened, &expected_after_scenario());
     // The unreachable duplicate was removed.
     assert!(!duplicate.exists());
     drop(reopened);
 
-    let (again, report) = DurableStore::open(&dir, cfg).unwrap();
+    let (again, _, report) = recover(&dir, cfg).unwrap();
     assert!(report.damage.is_none(), "{report:?}");
-    assert_same_store(again.store(), &expected_after_scenario());
+    assert_same_store(&again, &expected_after_scenario());
     fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn compaction_folds_journal_and_state_survives() {
     let dir = scratch("compact");
-    let (mut durable, _) = DurableStore::open(&dir, config()).unwrap();
-    scenario(durable.store_mut());
-    durable.commit().unwrap();
+    let (mut store, mut journal, _) = recover(&dir, config()).unwrap();
+    scenario(&mut store);
+    journal.commit(&mut store).unwrap();
 
-    let report = durable.compact().unwrap();
+    let report = journal.compact(&store).unwrap();
     assert_eq!(report.epoch, 1);
     assert!(report.removed_files >= 2, "old snapshot + segment removed");
-    assert_eq!(durable.journal().epoch(), 1);
+    assert_eq!(journal.epoch(), 1);
     // Old-epoch files are gone; the new snapshot exists.
     assert!(!dir
         .join(semex_journal::segment::snapshot_file_name(0))
@@ -325,19 +324,19 @@ fn compaction_folds_journal_and_state_survives() {
         .exists());
 
     // Keep writing after compaction.
-    extra_event(durable.store_mut());
-    durable.commit().unwrap();
-    let live = durable.store().clone();
-    drop(durable);
+    extra_event(&mut store);
+    journal.commit(&mut store).unwrap();
+    let live = store.clone();
+    drop(journal);
 
-    let (reopened, report) = DurableStore::open(&dir, config()).unwrap();
+    let (reopened, _, report) = recover(&dir, config()).unwrap();
     assert!(report.damage.is_none(), "{report:?}");
     assert_eq!(report.epoch, 1);
     assert_eq!(
         report.events_applied, 1,
         "only the post-compaction event replays"
     );
-    assert_same_store(reopened.store(), &live);
+    assert_same_store(&reopened, &live);
     fs::remove_dir_all(&dir).ok();
 }
 
@@ -349,38 +348,37 @@ fn segment_rotation_produces_multiple_segments_and_replays_in_order() {
         fsync: false,
         ..JournalConfig::default()
     };
-    let (mut durable, _) = DurableStore::open(&dir, cfg.clone()).unwrap();
-    let person = durable.store().model().class(class::PERSON).unwrap();
-    let name = durable.store().model().attr(attr::NAME).unwrap();
+    let (mut store, mut journal, _) = recover(&dir, cfg.clone()).unwrap();
+    let person = store.model().class(class::PERSON).unwrap();
+    let name = store.model().attr(attr::NAME).unwrap();
     for i in 0..40 {
-        let p = durable.store_mut().add_object(person);
-        durable
-            .store_mut()
+        let p = store.add_object(person);
+        store
             .add_attr(p, name, Value::from(format!("person {i}")))
             .unwrap();
-        durable.commit().unwrap();
+        journal.commit(&mut store).unwrap();
     }
-    let (count, _) = durable.journal().segment_usage();
+    let (count, _) = journal.segment_usage();
     assert!(
         count >= 2,
         "rotation should have produced several segments, got {count}"
     );
-    let live = durable.store().clone();
-    drop(durable);
+    let live = store.clone();
+    drop(journal);
 
-    let (reopened, report) = DurableStore::open(&dir, cfg).unwrap();
+    let (reopened, _, report) = recover(&dir, cfg).unwrap();
     assert!(report.damage.is_none(), "{report:?}");
     assert_eq!(report.segments_replayed, count);
     assert_eq!(report.events_applied, 80);
-    assert_same_store(reopened.store(), &live);
+    assert_same_store(&reopened, &live);
     fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn model_extension_survives_recovery() {
     let dir = scratch("model");
-    let (mut durable, _) = DurableStore::open(&dir, config()).unwrap();
-    let st = durable.store_mut();
+    let (mut store, mut journal, _) = recover(&dir, config()).unwrap();
+    let st = &mut store;
     let person = st.model().class(class::PERSON).unwrap();
     let badge = st
         .model_mut()
@@ -395,12 +393,23 @@ fn model_extension_survives_recovery() {
     let p = st.add_object(person);
     let b = st.add_object(badge);
     st.add_triple(p, wears, b, src).unwrap();
-    durable.commit().unwrap();
-    drop(durable);
+    journal.commit(&mut store).unwrap();
+    drop(journal);
 
-    let (reopened, report) = DurableStore::open(&dir, config()).unwrap();
+    let (mut reopened, mut journal, report) = recover(&dir, config()).unwrap();
     assert!(report.damage.is_none(), "{report:?}");
-    assert_eq!(reopened.store().model().class("Badge"), Some(badge));
-    assert_eq!(reopened.store().neighbors(p, wears), &[b]);
+    assert_eq!(reopened.model().class("Badge"), Some(badge));
+    assert_eq!(reopened.neighbors(p, wears), &[b]);
+
+    // The replayed model sync counts in the store's log like any event, so
+    // a write after recovery is journaled, not skipped.
+    let second = reopened.add_object(badge);
+    assert_eq!(reopened.event_head() - journal.next_seq(), 1);
+    assert_eq!(journal.commit(&mut reopened).unwrap(), 1);
+    assert_eq!(reopened.event_head(), journal.next_seq());
+    drop(journal);
+    let (again, _, report) = recover(&dir, config()).unwrap();
+    assert!(report.damage.is_none(), "{report:?}");
+    assert_eq!(again.object_raw(second).map(|o| o.class), Some(badge));
     fs::remove_dir_all(&dir).ok();
 }

@@ -45,12 +45,13 @@ struct Row {
 
 /// Persistent reconciliation state over one store (see the module docs).
 ///
-/// The state reads the store's event buffer through a cursor: call
-/// [`ReconState::catch_up`] (which [`ReconState::reconcile`] does first)
-/// to fold buffered events, [`ReconState::drained`] with the batch whenever
-/// the buffer is drained, and [`ReconState::apply_events`] for events
-/// applied outside the recorder. The store must record events
-/// ([`Store::enable_events`]) for the state to follow it.
+/// The state is a subscriber of the store's event log: it keeps the
+/// sequence number of the first event it has not folded, and
+/// [`ReconState::apply`] folds the events past that mark
+/// ([`Store::events_since`]). [`ReconState::reconcile`] applies first, so a
+/// run always sees the store as it is. The store must record events
+/// ([`Store::enable_events`]) and keep them until the state has applied
+/// them.
 #[derive(Debug)]
 pub struct ReconState {
     attrs: RowAttrs,
@@ -69,8 +70,9 @@ pub struct ReconState {
     class_refs: Vec<usize>,
     /// Store slots accounted for (the next `AddObject` creates this one).
     slots: usize,
-    /// Events at the head of the store's buffer already folded in.
-    seen: usize,
+    /// The store event sequence folded so far: events before it are
+    /// reflected.
+    mark: u64,
 }
 
 /// Sort key of a reference in global table order: class, then slot.
@@ -89,8 +91,8 @@ fn slot_u32(slot: usize) -> u32 {
 }
 
 impl ReconState {
-    /// Build the state from the store as it is now. Events already in the
-    /// store's buffer are reflected, so the cursor starts past them.
+    /// Build the state from the store as it is now; its mark starts at the
+    /// store's event head.
     pub fn new(store: &Store) -> ReconState {
         let model = store.model();
         let mut state = ReconState {
@@ -101,7 +103,7 @@ impl ReconState {
             index: Vec::new(),
             class_refs: vec![0; model.class_count()],
             slots: store.slot_count(),
-            seen: store.pending_events(),
+            mark: store.event_head(),
         };
         state.rows.resize_with(store.slot_count(), || None);
         let slots: Vec<ObjectId> = (0..store.slot_count() as u64).map(ObjectId).collect();
@@ -118,28 +120,11 @@ impl ReconState {
         state
     }
 
-    /// Fold the store's buffered events that the state has not seen yet.
-    pub fn catch_up(&mut self, store: &Store) {
-        let events = store.peek_events();
-        self.apply(store, &events[self.seen.min(events.len())..]);
-        self.seen = events.len();
-    }
-
-    /// The store's buffer was drained into `events`: fold the ones the
-    /// state has not seen; the cursor restarts at the now-empty buffer.
-    pub fn drained(&mut self, store: &Store, events: &[StoreEvent]) {
-        self.apply(store, &events[self.seen.min(events.len())..]);
-        self.seen = 0;
-    }
-
-    /// Fold events that were applied to the store outside its recorder
-    /// (a replicated batch).
-    pub fn apply_events(&mut self, store: &Store, events: &[StoreEvent]) {
-        self.apply(store, events);
-    }
-
-    /// Re-read the rows `events` changed, against the store as it is now.
-    fn apply(&mut self, store: &Store, events: &[StoreEvent]) {
+    /// Fold the store's events past the mark: re-read the rows they
+    /// changed, against the store as it is now.
+    pub fn apply(&mut self, store: &Store) {
+        let events = store.events_since(self.mark);
+        self.mark = store.event_head();
         let mut dirty: Vec<ObjectId> = Vec::new();
         for event in events {
             match event {
@@ -156,9 +141,7 @@ impl ReconState {
                     // Classes, attributes or evidence associations may have
                     // changed: start over from the store (which already
                     // reflects the rest of the batch).
-                    let seen = self.seen;
                     *self = ReconState::new(store);
-                    self.seen = seen;
                     return;
                 }
                 StoreEvent::RegisterSource { .. }
@@ -281,7 +264,7 @@ impl ReconState {
         cfg: &ReconConfig,
     ) -> ReconReport {
         let start = Instant::now();
-        self.catch_up(store);
+        self.apply(store);
         let st: &Store = store;
         let mut new_refs: Vec<ObjectId> = new_objects
             .iter()
@@ -571,9 +554,10 @@ mod tests {
 
     /// Drive one random write sequence through a persistent state, checking
     /// every run against the oracle on a copy of the same store. `batch`
-    /// is how many writes share one drain of the event buffer: 1 is the
-    /// platform without index batching, larger values model batched
-    /// commits (the state then catches up from the undrained buffer).
+    /// is how many writes share one publish of the event log (the state
+    /// applies, then the log is released): 1 is the platform without index
+    /// batching, larger values model batched commits (the state then
+    /// applies at its next run, from the unreleased log).
     /// Returns the runs checked and the merges they made.
     fn run_sequence(seed: u64, variant: Variant, threads: usize, batch: usize) -> (usize, usize) {
         let (mut store, mut held, rows) = desk(seed);
@@ -614,15 +598,15 @@ mod tests {
                 merges += got.merges;
             }
             if (step + 1) % batch == 0 {
-                let events = store.take_events();
                 if let Some(s) = &mut state {
-                    s.drained(&store, &events);
+                    s.apply(&store);
                 }
+                store.release_events(store.event_head());
             }
         }
         // The state followed the store exactly: it equals a fresh build.
         let mut s = state.expect("every sequence reconciles at least once");
-        s.catch_up(&store);
+        s.apply(&store);
         let fresh = ReconState::new(&store);
         assert_eq!(s.class_refs, fresh.class_refs);
         let rows = |st: &ReconState| -> Vec<(usize, Vec<u64>)> {

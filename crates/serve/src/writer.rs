@@ -161,7 +161,7 @@ impl WriteCommand {
             }
             WriteCommand::AssertDistinct { a, b } => {
                 let (a, b) = (check_object(semex, *a)?, check_object(semex, *b)?);
-                let accepted = semex.assert_distinct(a, b);
+                let accepted = semex.assert_distinct(a, b).map_err(error_response)?;
                 Ok(Applied::Asserted { merged: accepted })
             }
             WriteCommand::Replicate { .. } => Err(Response::Error {

@@ -477,3 +477,65 @@ fn overload_sheds_writes_with_a_typed_response() {
     }
     assert!(report.writer.writes_ok >= 2, "{report:?}");
 }
+
+#[test]
+fn a_hostile_replicated_batch_degrades_with_a_typed_error_and_the_connection_stays_open() {
+    let dir = std::env::temp_dir().join(format!("semex-smoke-hostile-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let durable = demo()
+        .into_durable(&dir, semex_core::JournalConfig::default())
+        .unwrap();
+    let head = durable.journal().next_seq();
+    let handle = serve(
+        Master::Durable(durable),
+        "127.0.0.1:0",
+        ServeConfig::default(),
+    )
+    .unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let search = Request::Search {
+        query: "reconciliation".into(),
+        k: 5,
+        exhaustive: false,
+    };
+    assert!(matches!(
+        client.request(&search).unwrap(),
+        Response::Hits { .. }
+    ));
+
+    // A replicated merge of ids the follower never allocated.
+    let merge = r#"{"Merge":{"winner":900001,"loser":900002}}"#.to_string();
+    let err = handle
+        .replication_sink()
+        .apply("default", head, vec![merge])
+        .unwrap_err();
+    assert!(err.contains("unknown object"), "{err}");
+
+    // The connection opened before still answers reads, and the space has
+    // degraded to read-only.
+    assert!(matches!(
+        client.request(&search).unwrap(),
+        Response::Hits { .. }
+    ));
+    match client
+        .request(&Request::Ingest {
+            format: IngestFormat::Bibtex,
+            name: "more".into(),
+            content: "@misc{z, title={Zanzibar}}".into(),
+        })
+        .unwrap()
+    {
+        Response::Error {
+            kind: ErrorKindWire::Degraded,
+            ..
+        } => {}
+        other => panic!("a degraded space must refuse writes: {other:?}"),
+    }
+    match client.request(&Request::Shutdown).unwrap() {
+        Response::ShutdownAck { .. } => {}
+        other => panic!("unexpected response: {other:?}"),
+    }
+    drop(client);
+    handle.join();
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -1,22 +1,24 @@
-//! Typed store mutation events.
+//! Typed store mutation events and the store's sequenced event log.
 //!
 //! Every mutating operation on a [`Store`] can be described by a
 //! [`StoreEvent`]. When recording is enabled ([`Store::enable_events`]) the
 //! store appends one event per *effective* mutation (no-ops such as
-//! duplicate attribute values emit nothing) to an internal buffer that an
-//! observer — the `semex-journal` write-ahead log, an incremental indexer,
-//! a replication stream — drains with [`Store::take_events`].
+//! duplicate attribute values emit nothing) to its event log. Each event
+//! gets an absolute sequence number; [`Store::event_head`] is the number the
+//! next one gets.
 //!
 //! Replaying a recorded sequence against a store in the same starting state
 //! reproduces the mutations exactly ([`Store::apply_event`]): object ids are
 //! dense indices handed out in creation order, so the ids allocated during
 //! replay coincide with the recorded ones.
 //!
-//! The stream has two consumers today: the journal persists drained batches
-//! verbatim, and the search index folds them into itself via
-//! [`StoreEvent::retokenizes`] / [`StoreEvent::tombstones`]. A single
-//! [`Store::take_events`] call must therefore hand its batch to *every*
-//! interested consumer — the facade drains once and fans out.
+//! Consumers do not drain the log. Each keeps a high-water mark and reads
+//! [`Store::events_since`] its mark; the log's owner drops a prefix every
+//! consumer has passed with [`Store::release_events`]. In a SEMEX platform
+//! the consumers are the write-ahead journal, the keyword index and the
+//! reconciliation state, and one publish step in the facade advances them
+//! all. A journaled store numbers its events with the journal's sequence,
+//! so a journal position and a log position are the same number.
 
 use crate::{ObjectId, SourceId, SourceInfo, Store, StoreError};
 use semex_model::{AssocId, AttrId, ClassId, DomainModel, Value};
@@ -155,66 +157,153 @@ impl fmt::Display for StoreEvent {
     }
 }
 
+/// The store's sequenced event log: every recorded event has an absolute
+/// sequence number, and the log holds the events from the oldest one not
+/// yet released up to its head.
+#[derive(Debug, Default)]
+pub(crate) struct EventLog {
+    /// Whether mutations are recorded.
+    pub(crate) on: bool,
+    /// Sequence number of `events[0]`.
+    base: u64,
+    events: Vec<StoreEvent>,
+}
+
+/// A copy of a store (a published snapshot, a test twin) has none of the
+/// original's subscribers, so it carries no events: its log starts empty at
+/// the original's head.
+impl Clone for EventLog {
+    fn clone(&self) -> Self {
+        EventLog {
+            on: self.on,
+            base: self.base + self.events.len() as u64,
+            events: Vec::new(),
+        }
+    }
+}
+
 impl Store {
-    /// Start recording mutation events into the internal buffer. Idempotent;
-    /// any events already buffered are kept.
+    /// Start recording mutation events. Idempotent: a log already
+    /// recording is kept as it is.
     pub fn enable_events(&mut self) {
-        if self.recorder.is_none() {
-            self.recorder = Some(Vec::new());
+        self.recorder.on = true;
+    }
+
+    /// Start (or restart) recording with an empty log whose next event
+    /// gets sequence number `seq`. A journaled store records at the
+    /// journal's sequence this way.
+    pub fn enable_events_at(&mut self, seq: u64) {
+        self.recorder = EventLog {
+            on: true,
+            base: seq,
+            events: Vec::new(),
+        };
+    }
+
+    /// The sequence number the next recorded event gets.
+    pub fn event_head(&self) -> u64 {
+        self.recorder.base + self.recorder.events.len() as u64
+    }
+
+    /// The recorded events from sequence number `seq` up to the head;
+    /// empty when `seq` is at or past the head.
+    ///
+    /// # Panics
+    ///
+    /// When `seq` names an event already released: a subscriber asking
+    /// for it has fallen behind the log, which is a bug in its owner.
+    pub fn events_since(&self, seq: u64) -> &[StoreEvent] {
+        let log = &self.recorder;
+        assert!(seq >= log.base, "event {seq} was released");
+        let from = (seq - log.base).min(log.events.len() as u64);
+        &log.events[from as usize..]
+    }
+
+    /// Drop the recorded events before sequence number `seq` (every
+    /// subscriber has consumed them). Sequence numbers are kept; `seq`
+    /// past the head releases everything.
+    pub fn release_events(&mut self, seq: u64) {
+        let log = &mut self.recorder;
+        let n = seq.saturating_sub(log.base).min(log.events.len() as u64);
+        log.events.drain(..n as usize);
+        log.base += n;
+        if log.events.is_empty() {
+            log.events = Vec::new(); // free what a burst allocated
         }
     }
 
-    /// Stop recording and discard any buffered events.
-    pub fn disable_events(&mut self) {
-        self.recorder = None;
-    }
-
-    /// Whether mutation events are being recorded.
-    pub fn events_enabled(&self) -> bool {
-        self.recorder.is_some()
-    }
-
-    /// Number of recorded events not yet drained.
-    pub fn pending_events(&self) -> usize {
-        self.recorder.as_ref().map_or(0, Vec::len)
-    }
-
-    /// The buffered events, without draining them (empty when recording is
-    /// disabled). Snapshot extraction peeks so the pending journal/flush
-    /// bookkeeping is untouched.
-    pub fn peek_events(&self) -> &[StoreEvent] {
-        self.recorder.as_deref().unwrap_or(&[])
-    }
-
-    /// Drain the buffered events (empty when recording is disabled).
-    /// Recording stays enabled.
+    /// Release every recorded event and return them. Recording stays as it
+    /// is.
     pub fn take_events(&mut self) -> Vec<StoreEvent> {
-        match &mut self.recorder {
-            Some(buf) => std::mem::take(buf),
-            None => Vec::new(),
-        }
+        self.recorder.base = self.event_head();
+        std::mem::take(&mut self.recorder.events)
     }
 
     /// Internal: append an event when recording is enabled.
     pub(crate) fn record(&mut self, event: StoreEvent) {
-        if let Some(buf) = &mut self.recorder {
-            buf.push(event);
+        if self.recorder.on {
+            self.recorder.events.push(event);
         }
     }
 
-    /// Re-apply a recorded event to this store (journal replay). The store
-    /// must be in the state that preceded the event — dense id allocation
-    /// then reproduces the recorded ids exactly. Replayed mutations are not
-    /// re-recorded.
+    /// Re-apply a recorded event to this store (journal replay, a
+    /// replicated batch). The store must be in the state that preceded the
+    /// event — dense id allocation then reproduces the recorded ids
+    /// exactly. When recording is enabled the event itself is logged, so
+    /// every applied event advances [`Store::event_head`] by exactly one
+    /// and a replica's log position stays its journal position.
+    ///
+    /// An event naming an object, class, attribute, association or source
+    /// the store does not have is refused with a typed [`StoreError`] and
+    /// changes nothing: events arrive from disk and from the network.
     pub fn apply_event(&mut self, event: &StoreEvent) -> Result<(), StoreError> {
-        // Suspend recording so replay does not re-journal itself.
-        let recorder = self.recorder.take();
-        let result = self.apply_event_inner(event);
-        self.recorder = recorder;
-        result
+        self.check_event(event)?;
+        let on = std::mem::replace(&mut self.recorder.on, false);
+        let applied = self.apply_unrecorded(event);
+        self.recorder.on = on;
+        applied?;
+        self.record(event.clone());
+        Ok(())
     }
 
-    fn apply_event_inner(&mut self, event: &StoreEvent) -> Result<(), StoreError> {
+    /// Every id `event` names must exist in this store.
+    fn check_event(&self, event: &StoreEvent) -> Result<(), StoreError> {
+        let model = self.model();
+        let obj = |o: &ObjectId| {
+            self.object_raw(*o)
+                .map(drop)
+                .ok_or(StoreError::UnknownObject(*o))
+        };
+        let src = |s: &SourceId| {
+            self.source(*s)
+                .map(drop)
+                .ok_or(StoreError::UnknownSource(*s))
+        };
+        match event {
+            StoreEvent::RegisterSource { .. } | StoreEvent::SyncModel { .. } => Ok(()),
+            StoreEvent::AddObject { class } if class.index() >= model.class_count() => {
+                Err(StoreError::UnknownClass(*class))
+            }
+            StoreEvent::AddObject { .. } => Ok(()),
+            StoreEvent::AddAttr { attr, .. } if attr.index() >= model.attr_count() => {
+                Err(StoreError::UnknownAttr(*attr))
+            }
+            StoreEvent::AddAttr { object, .. } => obj(object),
+            StoreEvent::AddSource { object, source } => obj(object).and(src(source)),
+            StoreEvent::AddTriple { assoc, .. } if assoc.index() >= model.assoc_count() => {
+                Err(StoreError::UnknownAssoc(*assoc))
+            }
+            StoreEvent::AddTriple {
+                subject,
+                object,
+                source,
+                ..
+            } => obj(subject).and(obj(object)).and(src(source)),
+            StoreEvent::Merge { winner, loser } => obj(winner).and(obj(loser)),
+        }
+    }
+
+    fn apply_unrecorded(&mut self, event: &StoreEvent) -> Result<(), StoreError> {
         match event {
             StoreEvent::RegisterSource { info } => {
                 self.register_source(info.clone());
@@ -282,7 +371,7 @@ mod tests {
         st.add_triple(pb, authored, p1, src).unwrap();
 
         let events = st.take_events();
-        assert_eq!(st.pending_events(), 0);
+        assert!(st.take_events().is_empty());
         assert_eq!(events.len(), 9, "{events:?}");
 
         let mut replica = Store::with_builtin_model();
@@ -336,13 +425,166 @@ mod tests {
         let mut st = Store::with_builtin_model();
         let person = st.model().class(class::PERSON).unwrap();
         st.add_object(person);
-        assert!(!st.events_enabled());
         assert!(st.take_events().is_empty());
+        assert_eq!(st.event_head(), 0);
         st.enable_events();
         st.add_object(person);
-        assert_eq!(st.pending_events(), 1);
-        st.disable_events();
-        assert_eq!(st.pending_events(), 0);
+        st.enable_events(); // idempotent: the log is kept
+        assert_eq!(st.events_since(0).len(), 1);
+    }
+
+    #[test]
+    fn the_log_numbers_events_and_releases_consumed_prefixes() {
+        let mut st = Store::with_builtin_model();
+        let person = st.model().class(class::PERSON).unwrap();
+        st.enable_events_at(40);
+        assert_eq!(st.event_head(), 40);
+        let p = st.add_object(person);
+        st.add_object(person);
+        st.merge(p, ObjectId(1)).unwrap();
+        assert_eq!(st.event_head(), 43);
+        assert_eq!(st.events_since(41).len(), 2);
+        assert!(st.events_since(43).is_empty());
+        assert!(st.events_since(99).is_empty());
+        st.release_events(42);
+        assert!(matches!(st.events_since(42), [StoreEvent::Merge { .. }]));
+        // A copy carries no events but keeps numbering from the same head.
+        let mut copy = st.clone();
+        assert_eq!(copy.event_head(), 43);
+        copy.add_object(person);
+        assert_eq!(copy.take_events().len(), 1);
+        // Every replayed event is logged once, whether or not its mutator
+        // records (a model sync replays without one).
+        let mut replica = Store::with_builtin_model();
+        replica.enable_events();
+        let model = replica.model().clone();
+        replica
+            .apply_event(&StoreEvent::AddObject { class: person })
+            .unwrap();
+        replica
+            .apply_event(&StoreEvent::SyncModel { model })
+            .unwrap();
+        assert_eq!(replica.event_head(), 2);
+        assert!(matches!(
+            replica.events_since(0),
+            [StoreEvent::AddObject { .. }, StoreEvent::SyncModel { .. }]
+        ));
+        st.release_events(u64::MAX);
+        assert!(st.events_since(43).is_empty());
+        assert_eq!(st.event_head(), 43);
+    }
+
+    #[test]
+    #[should_panic(expected = "was released")]
+    fn reading_a_released_event_is_a_bug() {
+        let mut st = Store::with_builtin_model();
+        st.enable_events();
+        let person = st.model().class(class::PERSON).unwrap();
+        st.add_object(person);
+        st.take_events();
+        st.events_since(0);
+    }
+
+    /// Events naming ids the store does not have are refused with a typed
+    /// error and leave the store and its log untouched: they arrive from
+    /// the journal and from replication peers.
+    #[test]
+    fn hostile_events_are_typed_errors() {
+        let mut st = Store::with_builtin_model();
+        let person = st.model().class(class::PERSON).unwrap();
+        let name = st.model().attr(attr::NAME).unwrap();
+        let authored = st.model().assoc(assoc::AUTHORED_BY).unwrap();
+        let publication = st.model().class(class::PUBLICATION).unwrap();
+        let src = st.register_source(SourceInfo::new("t", SourceKind::Synthetic));
+        let p = st.add_object(person);
+        let pb = st.add_object(publication);
+        st.enable_events();
+        let (ghost, bad_source) = (ObjectId(77), SourceId(9));
+        let cases = [
+            (
+                StoreEvent::AddObject {
+                    class: ClassId(999),
+                },
+                StoreError::UnknownClass(ClassId(999)),
+            ),
+            (
+                StoreEvent::AddAttr {
+                    object: ghost,
+                    attr: name,
+                    value: Value::from("x"),
+                },
+                StoreError::UnknownObject(ghost),
+            ),
+            (
+                StoreEvent::AddAttr {
+                    object: p,
+                    attr: AttrId(999),
+                    value: Value::from("x"),
+                },
+                StoreError::UnknownAttr(AttrId(999)),
+            ),
+            (
+                StoreEvent::AddSource {
+                    object: ghost,
+                    source: src,
+                },
+                StoreError::UnknownObject(ghost),
+            ),
+            (
+                StoreEvent::AddSource {
+                    object: p,
+                    source: bad_source,
+                },
+                StoreError::UnknownSource(bad_source),
+            ),
+            (
+                StoreEvent::AddTriple {
+                    subject: pb,
+                    assoc: authored,
+                    object: ghost,
+                    source: src,
+                },
+                StoreError::UnknownObject(ghost),
+            ),
+            (
+                StoreEvent::AddTriple {
+                    subject: pb,
+                    assoc: AssocId(999),
+                    object: p,
+                    source: src,
+                },
+                StoreError::UnknownAssoc(AssocId(999)),
+            ),
+            (
+                StoreEvent::AddTriple {
+                    subject: pb,
+                    assoc: authored,
+                    object: p,
+                    source: bad_source,
+                },
+                StoreError::UnknownSource(bad_source),
+            ),
+            (
+                StoreEvent::Merge {
+                    winner: ghost,
+                    loser: p,
+                },
+                StoreError::UnknownObject(ghost),
+            ),
+            (
+                StoreEvent::Merge {
+                    winner: p,
+                    loser: ghost,
+                },
+                StoreError::UnknownObject(ghost),
+            ),
+        ];
+        let before = st.to_json().unwrap();
+        for (event, want) in cases {
+            assert_eq!(st.apply_event(&event), Err(want), "{event}");
+        }
+        assert_eq!(st.to_json().unwrap(), before);
+        assert_eq!(st.event_head(), 0, "refused events record nothing");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The association database proper.
 
+use crate::events::EventLog;
 use crate::{Object, ObjectId, SourceId, SourceInfo, StoreEvent, Triple};
 use semex_model::{AssocId, AttrId, ClassId, DomainModel, Value};
 use std::collections::HashMap;
@@ -23,6 +24,14 @@ pub enum StoreError {
     SelfMerge(ObjectId),
     /// Attempted to merge objects of different classes.
     MergeClassMismatch(ObjectId, ObjectId),
+    /// The class id is not in the domain model.
+    UnknownClass(ClassId),
+    /// The attribute id is not in the domain model.
+    UnknownAttr(AttrId),
+    /// The association id is not in the domain model.
+    UnknownAssoc(AssocId),
+    /// The source id was never registered.
+    UnknownSource(SourceId),
 }
 
 impl fmt::Display for StoreError {
@@ -40,6 +49,10 @@ impl fmt::Display for StoreError {
             StoreError::MergeClassMismatch(a, b) => {
                 write!(f, "cannot merge {a} and {b}: different classes")
             }
+            StoreError::UnknownClass(c) => write!(f, "unknown class {c}"),
+            StoreError::UnknownAttr(a) => write!(f, "unknown attribute {a}"),
+            StoreError::UnknownAssoc(a) => write!(f, "unknown association {a}"),
+            StoreError::UnknownSource(s) => write!(f, "unknown source {s}"),
         }
     }
 }
@@ -58,9 +71,9 @@ pub struct Store {
     inverse: Vec<HashMap<ObjectId, Vec<ObjectId>>>,
     sources: Vec<SourceInfo>,
     live_objects: usize,
-    /// Mutation-event buffer; `Some` while recording is enabled (see
+    /// The sequenced event log; it records while enabled (see
     /// [`Store::enable_events`]). Never snapshotted.
-    pub(crate) recorder: Option<Vec<StoreEvent>>,
+    pub(crate) recorder: EventLog,
 }
 
 impl Store {
@@ -77,7 +90,7 @@ impl Store {
             inverse: vec![HashMap::new(); assocs],
             sources: Vec::new(),
             live_objects: 0,
-            recorder: None,
+            recorder: EventLog::default(),
         }
     }
 
@@ -103,7 +116,7 @@ impl Store {
     /// call it once per batch of model edits.
     pub fn sync_model(&mut self) {
         self.grow_indexes();
-        if self.recorder.is_some() {
+        if self.recorder.on {
             let model = self.model.clone();
             self.record(StoreEvent::SyncModel { model });
         }
@@ -134,7 +147,7 @@ impl Store {
     /// Register a provenance source.
     pub fn register_source(&mut self, info: SourceInfo) -> SourceId {
         let id = SourceId(self.sources.len() as u32);
-        if self.recorder.is_some() {
+        if self.recorder.on {
             let info = info.clone();
             self.record(StoreEvent::RegisterSource { info });
         }
@@ -206,7 +219,7 @@ impl Store {
         if self.model.attr_def(attr).kind != value.kind() {
             return Err(StoreError::WrongValueKind(attr));
         }
-        let recorded = if self.recorder.is_some() {
+        let recorded = if self.recorder.on {
             Some(value.clone())
         } else {
             None
@@ -579,7 +592,7 @@ impl Store {
             inverse: Vec::new(),
             sources,
             live_objects: 0,
-            recorder: None,
+            recorder: EventLog::default(),
         };
         s.rebuild_indexes();
         s

@@ -36,19 +36,16 @@ impl Master {
         }
     }
 
-    /// Commit the current write batch: flush buffered store events into the
-    /// index in one delta, and — on a durable master — append them to the
-    /// journal and fsync. Returns the number of events committed (for an
-    /// ephemeral master, the number folded into the index), which is also
-    /// how far the publication epoch advances.
+    /// Commit the current write batch: publish its store events (the
+    /// index takes them in one delta) and — on a durable master — append
+    /// them to the journal and fsync. Returns the number of events
+    /// committed (for an ephemeral master, the number the index took),
+    /// which is also how far the publication epoch advances: a durable
+    /// master's epoch is its journal's sequence.
     pub fn commit(&mut self) -> Result<usize, JournalError> {
         match self {
             Master::Durable(d) => d.commit(),
-            Master::Ephemeral(s) => {
-                let n = s.store().pending_events();
-                s.flush_index();
-                Ok(n)
-            }
+            Master::Ephemeral(s) => Ok(s.flush_index()),
         }
     }
 

@@ -31,11 +31,14 @@ cargo test -q -p semex-index --test sidecar_fuzz_prop
 echo "==> incremental reconciliation equivalence (persistent state vs the"
 echo "    rebuild-and-filter oracle over random write sequences at every variant"
 echo "    and thread count, probe blocking vs filtered all-pairs, the platform vs"
-echo "    fresh-state twins with index batching on and off, and scale-independent"
-echo "    examined counts)"
+echo "    fresh-state twins with index batching on and off, scale-independent"
+echo "    examined counts, and one publish path for store events: local writes"
+echo "    with batching on and off, replicated apply and recovery on a sidecar"
+echo "    leave the same store, index and reconciliation state)"
 cargo test -q -p semex-recon --lib state::tests
 cargo test -q --test incremental_state_prop
 cargo test -q --test incremental_recon
+cargo test -q --test publish_equiv
 
 echo "==> index equivalence suite (parallel/incremental/pruned vs oracle)"
 cargo test -q -p semex-index --test index_equiv_prop

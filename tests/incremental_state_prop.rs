@@ -185,7 +185,7 @@ fn run(seed: u64, variant: Variant, threads: usize, batching: bool) -> usize {
                     if twin.resolve(a) != twin.resolve(b) {
                         twin.merge(a, b).unwrap();
                     }
-                } else if semex.assert_distinct(a, b) {
+                } else if semex.assert_distinct(a, b).unwrap() {
                     twin_cfg.cannot_link.push((a, b));
                 }
             }
