@@ -1208,7 +1208,7 @@ fn e12_fault_injection() {
 fn e13_serve() {
     use semex_core::{Semex, SemexBuilder, SemexConfig};
     use semex_serve::protocol::{read_response, IngestFormat, Request, Response};
-    use semex_serve::{serve, Client, Master, ServeConfig};
+    use semex_serve::{serve, Client, PoolConfig, ServeConfig};
     use std::sync::Arc;
     use std::thread;
     use std::time::Duration;
@@ -1273,13 +1273,13 @@ fn e13_serve() {
     ]);
     let mut rounds = Vec::new();
     for &threads in &[1usize, 2, 4] {
-        let master =
-            Master::Ephemeral(Semex::load(&space, SemexConfig::default()).expect("reload"));
+        let master = Semex::load(&space, SemexConfig::default()).expect("reload");
         let config = ServeConfig {
             threads,
             ..ServeConfig::default()
         };
-        let handle = serve(master, "127.0.0.1:0", config).expect("bind an ephemeral port");
+        let handle = serve(master, "127.0.0.1:0", config, PoolConfig::default())
+            .expect("bind an ephemeral port");
         let addr = handle.addr();
 
         let t0 = Instant::now();
@@ -1368,13 +1368,14 @@ fn e13_serve() {
     // Admission control: one busy worker, a one-slot accept queue, and a
     // burst of connections — everything past the queue is shed with a
     // typed `overloaded` response, never a hang or a silent close.
-    let master = Master::Ephemeral(Semex::load(&space, SemexConfig::default()).expect("reload"));
+    let master = Semex::load(&space, SemexConfig::default()).expect("reload");
     let config = ServeConfig {
         threads: 1,
         conn_queue: 1,
         ..ServeConfig::default()
     };
-    let handle = serve(master, "127.0.0.1:0", config).expect("bind an ephemeral port");
+    let handle = serve(master, "127.0.0.1:0", config, PoolConfig::default())
+        .expect("bind an ephemeral port");
     let addr = handle.addr();
     let mut held = Client::connect(addr).expect("held connection");
     held.request(&Request::Stats).expect("held is being served");
@@ -2361,7 +2362,7 @@ fn e17_replica(smoke: bool) {
     use semex_core::{JournalConfig, Semex, SemexConfig};
     use semex_replica::{follow, replicate, Follower, HubConfig};
     use semex_serve::protocol::{IngestFormat, Request, Response};
-    use semex_serve::{serve, Client, Master, ServeConfig, TenantId};
+    use semex_serve::{serve, Client, PoolConfig, ServeConfig, TenantId};
     use std::net::SocketAddr;
     use std::sync::Arc;
     use std::thread;
@@ -2435,23 +2436,23 @@ fn e17_replica(smoke: bool) {
     // hub tapping its write path, exactly the `semex serve
     // --listen-replication` wiring.
     let primary_dir = scratch.join("primary");
-    let (durable, _) =
+    let (master, _) =
         Semex::open_durable_with(&primary_dir, SemexConfig::default(), journal.clone())
             .expect("open primary journal");
-    let master = Master::Durable(durable);
     let mut config = ServeConfig {
         threads: replay_clients + 4,
         ..ServeConfig::default()
     };
     let hub = replicate(
         &primary_dir,
-        master.boot_epoch(),
+        master.store().event_head(),
         "127.0.0.1:0",
         &mut config,
         HubConfig::default(),
     )
     .expect("start replication hub");
-    let primary = serve(master, "127.0.0.1:0", config).expect("serve primary");
+    let primary =
+        serve(master, "127.0.0.1:0", config, PoolConfig::default()).expect("serve primary");
 
     // Seed before any follower exists: the late followers must bootstrap
     // the whole history (snapshot or journal tail) rather than watch it
@@ -2550,7 +2551,10 @@ fn e17_replica(smoke: bool) {
                     threads: replay_clients + 2,
                     ..ServeConfig::default()
                 },
-                journal.clone(),
+                PoolConfig {
+                    journal: journal.clone(),
+                    ..PoolConfig::default()
+                },
                 1 << 20,
                 name.clone(),
             )

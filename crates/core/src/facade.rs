@@ -59,83 +59,16 @@ impl fmt::Display for ObjectView {
     }
 }
 
-/// Resolve raw index hits to display form against a store.
-fn results_of(store: &Store, hits: Vec<semex_index::Hit>) -> Vec<SearchResult> {
-    hits.into_iter()
-        .map(|h| SearchResult {
-            object: h.object,
-            label: store.label(h.object),
-            class: store
-                .model()
-                .class_def(store.class_of(h.object))
-                .name
-                .clone(),
-            score: h.score,
-        })
-        .collect()
-}
-
-/// Assemble the full display view of one object against a store.
-fn view_of(store: &Store, obj: ObjectId) -> ObjectView {
-    let obj = store.resolve(obj);
-    let o = store.object(obj);
-    let model = store.model();
-    let attrs = o
-        .attrs
-        .iter()
-        .map(|(a, v)| (model.attr_def(*a).name.clone(), v.render()))
-        .collect();
-    let sources = o
-        .sources
-        .iter()
-        .filter_map(|&s| store.source(s).map(|i| i.name.clone()))
-        .collect();
-    ObjectView {
-        object: obj,
-        label: store.label(obj),
-        class: model.class_def(o.class).name.clone(),
-        attrs,
-        links: neighborhood(store, obj),
-        sources,
-    }
-}
-
-/// Group the asserted facts about one object by provenance source.
-fn explain_of(store: &Store, obj: ObjectId) -> Vec<(String, String)> {
-    let obj = store.resolve(obj);
-    let model = store.model();
-    let mut out = Vec::new();
-    for t in store.triples() {
-        if t.subject != obj && t.object != obj {
-            continue;
-        }
-        let source = store
-            .source(t.source)
-            .map(|i| i.name.clone())
-            .unwrap_or_else(|| t.source.to_string());
-        let def = model.assoc_def(t.assoc);
-        let fact = format!(
-            "{} --{}--> {}",
-            store.label(t.subject),
-            def.name,
-            store.label(t.object)
-        );
-        out.push((source, fact));
-    }
-    out.sort();
-    out.dedup();
-    out
-}
-
-/// An immutable, self-contained copy of the queryable platform state: the
-/// association store plus the keyword index, detached from the live
-/// [`Semex`].
+/// The queryable state of a space — the association store plus the keyword
+/// index — and the one read API over it.
 ///
-/// This is the unit of *snapshot isolation* the serving layer is built on:
-/// the writer clones the master's state into a `Snapshot`, publishes it
-/// behind an `Arc`, and any number of reader threads query it concurrently
-/// — every read method takes `&self`, and a snapshot never observes a
-/// mutation applied after it was taken.
+/// [`Semex`] keeps its live state as a `Snapshot` and dereferences to it, so
+/// every read method below is also a method of the platform. A clone taken
+/// with [`Semex::snapshot`] is the unit of *snapshot isolation* the serving
+/// layer is built on: the writer publishes it behind an `Arc`, and any
+/// number of reader threads query it concurrently — every read method takes
+/// `&self`, and a published snapshot never observes a mutation applied after
+/// it was taken.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     store: Store,
@@ -143,41 +76,103 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// The association database at snapshot time.
+    /// The association database.
     pub fn store(&self) -> &Store {
         &self.store
     }
 
-    /// The keyword index at snapshot time.
+    /// The keyword index.
     pub fn index(&self) -> &SearchIndex {
         &self.index
     }
 
-    /// Keyword search (pruned top-k evaluator); see [`Semex::search`].
+    /// Keyword search: top-`k` objects for a query string (supports the
+    /// `class:Name` filter syntax). Runs the pruned top-k evaluator.
     pub fn search(&self, query: &str, k: usize) -> Vec<SearchResult> {
-        results_of(&self.store, self.index.search_str(&self.store, query, k))
+        self.results(self.index.search_str(&self.store, query, k))
     }
 
-    /// Keyword search through the exhaustive reference scorer.
+    /// [`Snapshot::search`] through the exhaustive reference scorer.
+    /// Returns identical results; kept as the oracle for verification and
+    /// for benchmarking the pruned path against.
     pub fn search_exhaustive(&self, query: &str, k: usize) -> Vec<SearchResult> {
-        results_of(
-            &self.store,
-            self.index.search_str_exhaustive(&self.store, query, k),
-        )
+        self.results(self.index.search_str_exhaustive(&self.store, query, k))
     }
 
-    /// A full display view of one object; see [`Semex::view`].
+    /// Resolve raw index hits to display form.
+    fn results(&self, hits: Vec<semex_index::Hit>) -> Vec<SearchResult> {
+        let store = &self.store;
+        hits.into_iter()
+            .map(|h| SearchResult {
+                object: h.object,
+                label: store.label(h.object),
+                class: store
+                    .model()
+                    .class_def(store.class_of(h.object))
+                    .name
+                    .clone(),
+                score: h.score,
+            })
+            .collect()
+    }
+
+    /// A full display view of one object.
     pub fn view(&self, obj: ObjectId) -> ObjectView {
-        view_of(&self.store, obj)
+        let store = &self.store;
+        let obj = store.resolve(obj);
+        let o = store.object(obj);
+        let model = store.model();
+        let attrs = o
+            .attrs
+            .iter()
+            .map(|(a, v)| (model.attr_def(*a).name.clone(), v.render()))
+            .collect();
+        let sources = o
+            .sources
+            .iter()
+            .filter_map(|&s| store.source(s).map(|i| i.name.clone()))
+            .collect();
+        ObjectView {
+            object: obj,
+            label: store.label(obj),
+            class: model.class_def(o.class).name.clone(),
+            attrs,
+            links: neighborhood(store, obj),
+            sources,
+        }
     }
 
-    /// Facts about an object grouped by provenance source; see
-    /// [`Semex::explain`].
+    /// Explain an object: its asserted facts grouped by provenance source —
+    /// `(source name, rendered fact)` pairs. The demo's "where does SEMEX
+    /// know this from?" affordance.
     pub fn explain(&self, obj: ObjectId) -> Vec<(String, String)> {
-        explain_of(&self.store, obj)
+        let store = &self.store;
+        let obj = store.resolve(obj);
+        let model = store.model();
+        let mut out = Vec::new();
+        for t in store.triples() {
+            if t.subject != obj && t.object != obj {
+                continue;
+            }
+            let source = store
+                .source(t.source)
+                .map(|i| i.name.clone())
+                .unwrap_or_else(|| t.source.to_string());
+            let def = model.assoc_def(t.assoc);
+            let fact = format!(
+                "{} --{}--> {}",
+                store.label(t.subject),
+                def.name,
+                store.label(t.object)
+            );
+            out.push((source, fact));
+        }
+        out.sort();
+        out.dedup();
+        out
     }
 
-    /// Store statistics at snapshot time.
+    /// Store statistics (the numbers the demo's status pane shows).
     pub fn stats(&self) -> StoreStats {
         StoreStats::compute(&self.store)
     }
@@ -200,23 +195,53 @@ fn fold(
     store.event_head()
 }
 
-/// The assembled SEMEX platform.
+/// The refusal of a journal operation on a platform kept in memory only.
+fn no_journal(what: &str) -> JournalError {
+    JournalError::Invalid {
+        dir: std::path::PathBuf::new(),
+        reason: format!("{what} needs a journal, and this platform has none"),
+    }
+}
+
+/// A journal operation refused for `reason`.
+fn invalid(journal: &Journal, reason: String) -> JournalError {
+    JournalError::Invalid {
+        dir: journal.dir().to_path_buf(),
+        reason,
+    }
+}
+
+/// The assembled SEMEX platform: one space's association database and
+/// keyword index, optionally backed by a write-ahead journal.
 ///
-/// Derived state (keyword index, reconciliation state) changes only through
-/// one publish step that folds the store's event log past each subscriber's
-/// mark: local writes, commits, replicated batches, recovery and
-/// [`Semex::snapshot`] all go through it.
+/// The read API ([`Snapshot::search`], [`Snapshot::view`], …) is reached
+/// through `Deref<Target = Snapshot>`. Derived state (keyword index,
+/// reconciliation state) changes only through one publish step that folds
+/// the store's event log past each subscriber's mark: local writes,
+/// commits, replicated batches, recovery and [`Semex::snapshot`] all go
+/// through it.
+///
+/// A platform opened with [`Semex::open_durable`] (or put under a journal
+/// with [`Semex::into_durable`]) keeps its mutations in the store's event
+/// log past the journal's mark; [`commit`](Semex::commit) makes them
+/// durable — after a crash, [`Semex::open_durable`] recovers exactly the
+/// committed state. The store numbers its events with the journal's
+/// sequence, so the journal position, the index sidecar's stamp and a
+/// serving tenant's epoch are one counter: the store's event head.
+/// [`compact`](Semex::compact) folds the journal into a fresh snapshot when
+/// replay gets long. The journal operations answer a typed
+/// [`JournalError`] on a platform without a journal.
 pub struct Semex {
-    store: Store,
-    index: SearchIndex,
+    /// The live store and keyword index.
+    state: Snapshot,
     /// The store event sequence the index reflects: its subscriber mark.
     indexed: u64,
     config: SemexConfig,
     report: BuildReport,
-    /// The store event sequence the journal holds: events from here on are
-    /// the uncommitted backlog and stay in the log. `u64::MAX` when no
-    /// journal follows the store, so nothing is held back for one.
-    journaled: u64,
+    /// The journal mutations are committed to; `None` keeps the platform
+    /// in memory. Its next sequence number is its mark: store events from
+    /// there on are the uncommitted backlog and stay in the log.
+    journal: Option<Journal>,
     /// When set, mutating paths leave the index behind the log instead of
     /// publishing per mutation; [`Semex::flush_index`] folds the whole batch
     /// in one [`SearchIndex::apply_events`] call. The serving layer's
@@ -226,7 +251,7 @@ pub struct Semex {
     /// `Some(cause)` when the platform is in degraded read-only mode after
     /// a permanent journal failure: mutations are rejected with
     /// [`crate::SemexError::Degraded`] until
-    /// [`DurableSemex::try_recover_journal`] clears the condition.
+    /// [`Semex::try_recover_journal`] clears the condition.
     degraded: Option<String>,
     /// Reconciliation state kept current from the store's event stream, so
     /// an ingest reconciles in time proportional to its new references.
@@ -235,12 +260,25 @@ pub struct Semex {
     recon: Option<Box<ReconState>>,
 }
 
+/// A [`Semex`] with a journal attached: the same type, for callers that
+/// name a space's durability in a signature.
+pub type DurableSemex = Semex;
+
 impl fmt::Debug for Semex {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Semex")
-            .field("objects", &self.store.object_count())
-            .field("indexed", &self.index.doc_count())
+            .field("objects", &self.store().object_count())
+            .field("indexed", &self.index().doc_count())
+            .field("journal", &self.journal.as_ref().map(Journal::dir))
             .finish_non_exhaustive()
+    }
+}
+
+impl std::ops::Deref for Semex {
+    type Target = Snapshot;
+
+    fn deref(&self) -> &Snapshot {
+        &self.state
     }
 }
 
@@ -257,11 +295,10 @@ impl Semex {
         store.enable_events();
         Semex {
             indexed: store.event_head(),
-            store,
-            index,
+            state: Snapshot { store, index },
             config,
             report,
-            journaled: u64::MAX,
+            journal: None,
             batch_index: false,
             degraded: None,
             recon: None,
@@ -277,21 +314,18 @@ impl Semex {
     /// events. This is what the serving layer publishes to reader threads
     /// after each write batch.
     pub fn snapshot(&self) -> Snapshot {
-        let mut index = self.index.clone();
-        fold(&self.store, &mut index, self.indexed, None);
-        Snapshot {
-            store: self.store.clone(),
-            index,
-        }
+        let mut snap = self.state.clone();
+        fold(&self.state.store, &mut snap.index, self.indexed, None);
+        snap
     }
 
     /// Switch index-refresh batching on or off. While batching is on,
     /// mutating calls ([`Semex::ingest`], [`Semex::integrate`],
     /// [`Semex::assert_same`], …) leave their store events unpublished and
     /// the master's keyword index goes stale; one [`Semex::flush_index`]
-    /// call (or a durable [`DurableSemex::commit`]) folds the whole batch
-    /// in at once. Turning batching *off* flushes implicitly, so the index
-    /// is never silently stale outside a batch.
+    /// call (or a [`Semex::commit`]) folds the whole batch in at once.
+    /// Turning batching *off* flushes implicitly, so the index is never
+    /// silently stale outside a batch.
     pub fn set_index_batching(&mut self, on: bool) {
         self.batch_index = on;
         if !on {
@@ -308,11 +342,20 @@ impl Semex {
     /// the index: it folds at every publish and at the start of every
     /// run.)
     pub fn flush_index(&mut self) -> usize {
-        let taken = self.store.event_head() - self.indexed;
+        let state = &mut self.state;
+        let taken = state.store.event_head() - self.indexed;
         let recon = self.recon.as_deref_mut();
-        self.indexed = fold(&self.store, &mut self.index, self.indexed, recon);
-        self.store.release_events(self.indexed.min(self.journaled));
+        self.indexed = fold(&state.store, &mut state.index, self.indexed, recon);
+        let journaled = self.journaled();
+        self.state.store.release_events(self.indexed.min(journaled));
         taken as usize
+    }
+
+    /// The journal's mark: store events from here on are the uncommitted
+    /// backlog. Without a journal nothing is held back for one.
+    fn journaled(&self) -> u64 {
+        let head = self.state.store.event_head();
+        self.journal.as_ref().map_or(head, Journal::next_seq)
     }
 
     /// When the platform is in degraded read-only mode, the journal failure
@@ -342,16 +385,6 @@ impl Semex {
         }
     }
 
-    /// The association database.
-    pub fn store(&self) -> &Store {
-        &self.store
-    }
-
-    /// The keyword index.
-    pub fn index(&self) -> &SearchIndex {
-        &self.index
-    }
-
     /// The reconciliation state, once a write has reconciled.
     pub fn recon_state(&self) -> Option<&ReconState> {
         self.recon.as_deref()
@@ -365,27 +398,6 @@ impl Semex {
     /// The active configuration.
     pub fn config(&self) -> &SemexConfig {
         &self.config
-    }
-
-    /// Keyword search: top-`k` objects for a query string (supports the
-    /// `class:Name` filter syntax). Runs the pruned top-k evaluator.
-    pub fn search(&self, query: &str, k: usize) -> Vec<SearchResult> {
-        results_of(&self.store, self.index.search_str(&self.store, query, k))
-    }
-
-    /// [`Semex::search`] through the exhaustive reference scorer. Returns
-    /// identical results; kept as the oracle for verification and for
-    /// benchmarking the pruned path against.
-    pub fn search_exhaustive(&self, query: &str, k: usize) -> Vec<SearchResult> {
-        results_of(
-            &self.store,
-            self.index.search_str_exhaustive(&self.store, query, k),
-        )
-    }
-
-    /// A full display view of one object.
-    pub fn view(&self, obj: ObjectId) -> ObjectView {
-        view_of(&self.store, obj)
     }
 
     /// Integrate an external CSV source on the fly: match its schema,
@@ -412,13 +424,13 @@ impl Semex {
         table: &Table,
     ) -> Result<Option<(f64, ImportReport)>, crate::SemexError> {
         self.check_writable()?;
-        let Some(mapping) = SchemaMatcher::new(&self.store).match_table(table) else {
+        let Some(mapping) = SchemaMatcher::new(&self.state.store).match_table(table) else {
             return Ok(None);
         };
         let score = mapping.score;
-        let result = import_rows(&mut self.store, name, table, &mapping).map(|imported| {
+        let result = import_rows(&mut self.state.store, name, table, &mapping).map(|imported| {
             self.reconcile_new(&imported.created, Variant::Full);
-            imported.report(&self.store)
+            imported.report(&self.state.store)
         });
         // Refresh on both paths: a rejected import may have applied a prefix
         // of the rows, and the index must track whatever the store holds.
@@ -462,11 +474,10 @@ impl Semex {
             crate::SourceSpec::Ical { .. } => semex_store::SourceKind::Calendar,
             crate::SourceSpec::Directory { .. } => semex_store::SourceKind::FileSystem,
         };
-        let sid = self
-            .store
-            .register_source(semex_store::SourceInfo::new(&name, kind));
-        let first_new_slot = self.store.slot_count() as u64;
-        let mut ctx = ExtractContext::new(&mut self.store, sid);
+        let store = &mut self.state.store;
+        let sid = store.register_source(semex_store::SourceInfo::new(&name, kind));
+        let first_new_slot = store.slot_count() as u64;
+        let mut ctx = ExtractContext::new(store, sid);
         let result = match &spec {
             crate::SourceSpec::Mbox { content, .. } => extract_mbox(content, &mut ctx),
             crate::SourceSpec::Vcard { content, .. } => extract_vcards(content, &mut ctx),
@@ -485,7 +496,7 @@ impl Semex {
             // Incremental: only pairs touching the just-extracted
             // references are (re)considered — old-old pairs were settled by
             // the build-time run.
-            let new_objects: Vec<ObjectId> = (first_new_slot..self.store.slot_count() as u64)
+            let new_objects: Vec<ObjectId> = (first_new_slot..self.store().slot_count() as u64)
                 .map(ObjectId)
                 .collect();
             self.reconcile_new(&new_objects, self.config.recon_variant);
@@ -497,17 +508,10 @@ impl Semex {
     /// Reconcile references created since the last run against the space,
     /// through the persistent state (built here on first use).
     fn reconcile_new(&mut self, new_objects: &[ObjectId], variant: Variant) {
-        let store = &mut self.store;
+        let store = &mut self.state.store;
         self.recon
             .get_or_insert_with(|| Box::new(ReconState::new(store)))
             .reconcile(store, new_objects, variant, &self.config.recon);
-    }
-
-    /// Explain an object: its asserted facts grouped by provenance source —
-    /// `(source name, rendered fact)` pairs. The demo's "where does SEMEX
-    /// know this from?" affordance.
-    pub fn explain(&self, obj: ObjectId) -> Vec<(String, String)> {
-        explain_of(&self.store, obj)
     }
 
     /// User feedback: assert that two objects denote the same entity.
@@ -517,8 +521,9 @@ impl Semex {
     pub fn assert_same(&mut self, a: ObjectId, b: ObjectId) -> Result<(), crate::SemexError> {
         self.check_writable()?;
         self.config.recon.must_link.push((a, b));
-        if self.store.resolve(a) != self.store.resolve(b) {
-            self.store.merge(a, b).map_err(crate::SemexError::Store)?;
+        let store = &mut self.state.store;
+        if store.resolve(a) != store.resolve(b) {
+            store.merge(a, b).map_err(crate::SemexError::Store)?;
         }
         self.refresh_index();
         Ok(())
@@ -531,21 +536,16 @@ impl Semex {
     /// tell the user. Errors when the platform is degraded.
     pub fn assert_distinct(&mut self, a: ObjectId, b: ObjectId) -> Result<bool, crate::SemexError> {
         self.check_writable()?;
-        if self.store.resolve(a) == self.store.resolve(b) {
+        if self.store().resolve(a) == self.store().resolve(b) {
             return Ok(false);
         }
         self.config.recon.cannot_link.push((a, b));
         Ok(true)
     }
 
-    /// Store statistics (the numbers the demo's status pane shows).
-    pub fn stats(&self) -> StoreStats {
-        StoreStats::compute(&self.store)
-    }
-
     /// Snapshot the association database to a file.
     pub fn save(&self, path: &std::path::Path) -> Result<(), SnapshotError> {
-        self.store.save(path)
+        self.store().save(path)
     }
 
     /// Snapshot a *compacted* copy of the association database: merge-alias
@@ -553,7 +553,7 @@ impl Semex {
     /// heavy reconciliation. Note that object ids in the snapshot differ
     /// from this session's ids (the store itself is untouched).
     pub fn save_compacted(&self, path: &std::path::Path) -> Result<(), SnapshotError> {
-        let (compact, _mapping) = self.store.compacted();
+        let (compact, _mapping) = self.store().compacted();
         compact.save(path)
     }
 
@@ -575,12 +575,11 @@ impl Semex {
 
     /// Open a durable platform backed by a write-ahead journal directory:
     /// recover the store from snapshot + journal replay (initializing the
-    /// directory on first use) and rebuild the keyword index. See
-    /// [`DurableSemex`].
+    /// directory on first use) and rebuild the keyword index.
     pub fn open_durable(
         dir: impl AsRef<std::path::Path>,
         config: SemexConfig,
-    ) -> Result<(DurableSemex, RecoveryReport), JournalError> {
+    ) -> Result<(Semex, RecoveryReport), JournalError> {
         Semex::open_durable_with(dir, config, JournalConfig::default())
     }
 
@@ -589,7 +588,7 @@ impl Semex {
         dir: impl AsRef<std::path::Path>,
         config: SemexConfig,
         journal_config: JournalConfig,
-    ) -> Result<(DurableSemex, RecoveryReport), JournalError> {
+    ) -> Result<(Semex, RecoveryReport), JournalError> {
         let recovered = semex_journal::recover(dir.as_ref(), journal_config)?;
         Ok(Semex::assemble_durable(recovered, config))
     }
@@ -601,7 +600,7 @@ impl Semex {
         config: SemexConfig,
         journal_config: JournalConfig,
         io: std::sync::Arc<dyn JournalIo>,
-    ) -> Result<(DurableSemex, RecoveryReport), JournalError> {
+    ) -> Result<(Semex, RecoveryReport), JournalError> {
         let recovered = semex_journal::recover_with_io(dir.as_ref(), journal_config, io)?;
         Ok(Semex::assemble_durable(recovered, config))
     }
@@ -609,7 +608,7 @@ impl Semex {
     fn assemble_durable(
         (store, journal, report): (Store, Journal, RecoveryReport),
         config: SemexConfig,
-    ) -> (DurableSemex, RecoveryReport) {
+    ) -> (Semex, RecoveryReport) {
         // Recovery left the replayed tail in the store's log: the publish
         // below folds what a sidecar index lacks.
         let sidecar = Semex::read_sidecar(&store, &journal, &report);
@@ -624,14 +623,13 @@ impl Semex {
         });
         let mut semex = Semex::assemble(store, index, config, BuildReport::restored(0));
         semex.indexed = indexed;
-        semex.journaled = head;
+        semex.journal = Some(journal);
         semex.flush_index();
-        semex.report = BuildReport::restored(semex.index.doc_count());
-        let durable = DurableSemex { semex, journal };
+        semex.report = BuildReport::restored(semex.index().doc_count());
         if !fresh {
-            durable.refresh_index_sidecar();
+            semex.refresh_index_sidecar();
         }
-        (durable, report)
+        (semex, report)
     }
 
     /// The keyword index from the epoch's binary sidecar, with the store
@@ -653,18 +651,18 @@ impl Semex {
     /// Put an already-built platform under journal protection: the
     /// directory is initialized with a snapshot of this platform's store
     /// (it must not already hold a journal), and every subsequent mutation
-    /// is journaled. See [`DurableSemex`].
+    /// is journaled.
     pub fn into_durable(
         mut self,
         dir: impl AsRef<std::path::Path>,
         journal_config: JournalConfig,
-    ) -> Result<DurableSemex, JournalError> {
+    ) -> Result<Semex, JournalError> {
         let dir = dir.as_ref();
         // The initial snapshot captures the store as-is; publish first so
         // the index reflects everything it holds, even under index batching.
         self.flush_index();
         let (store, journal, report) =
-            semex_journal::recover_or_adopt(dir, journal_config, self.store)?;
+            semex_journal::recover_or_adopt(dir, journal_config, self.state.store)?;
         if !report.initialized {
             return Err(JournalError::Invalid {
                 dir: dir.to_path_buf(),
@@ -674,95 +672,52 @@ impl Semex {
         }
         // The adopted store now numbers its events with the journal's
         // sequence; the subscribers restart there.
-        self.store = store;
+        self.state.store = store;
         self.recon = None;
-        self.indexed = self.store.event_head();
-        self.journaled = self.indexed;
-        let durable = DurableSemex {
-            semex: self,
-            journal,
-        };
-        durable.refresh_index_sidecar();
-        Ok(durable)
+        self.indexed = self.store().event_head();
+        self.journal = Some(journal);
+        self.refresh_index_sidecar();
+        Ok(self)
     }
-}
 
-/// A [`Semex`] platform whose store mutations are journaled to disk.
-///
-/// Dereferences to [`Semex`], so every query and mutation API is available
-/// directly. Mutations (ingest, integrate, assert-same feedback, …) stay in
-/// the store's event log past the journal's mark; call
-/// [`commit`](DurableSemex::commit) to make them durable — after a crash,
-/// [`Semex::open_durable`] recovers exactly the committed state. The store
-/// numbers its events with the journal's sequence, so the journal position,
-/// the index sidecar's stamp and a serving tenant's epoch are one counter.
-/// [`compact`](DurableSemex::compact) folds the journal into a fresh
-/// snapshot when replay gets long.
-pub struct DurableSemex {
-    semex: Semex,
-    journal: Journal,
-}
-
-impl fmt::Debug for DurableSemex {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DurableSemex")
-            .field("semex", &self.semex)
-            .field("journal_dir", &self.journal.dir())
-            .field("epoch", &self.journal.epoch())
-            .field("pending_events", &self.pending_events())
-            .finish()
-    }
-}
-
-impl std::ops::Deref for DurableSemex {
-    type Target = Semex;
-
-    fn deref(&self) -> &Semex {
-        &self.semex
-    }
-}
-
-impl std::ops::DerefMut for DurableSemex {
-    fn deref_mut(&mut self) -> &mut Semex {
-        &mut self.semex
-    }
-}
-
-impl DurableSemex {
-    /// The underlying journal.
-    pub fn journal(&self) -> &Journal {
-        &self.journal
+    /// The journal, when the platform has one.
+    pub fn journal(&self) -> Option<&Journal> {
+        self.journal.as_ref()
     }
 
     /// Store events logged since the last commit: the backlog past the
-    /// journal's mark.
+    /// journal's mark (none without a journal).
     pub fn pending_events(&self) -> usize {
-        let head = self.semex.store.event_head();
-        head.saturating_sub(self.semex.journaled) as usize
+        let head = self.store().event_head();
+        head.saturating_sub(self.journaled()) as usize
     }
 
-    /// Publish, then append the events past the journal's mark to the
-    /// journal and fsync. Returns the number of events made durable. On
-    /// failure the mark does not move, so the events stay logged (the index
-    /// already reflects them) and a retry commits them. Transient failures
-    /// were already retried inside the journal; a permanent failure (full
-    /// disk, wedged log) additionally puts the platform into degraded
-    /// read-only mode — see [`DurableSemex::try_recover_journal`].
+    /// Publish, then — when the platform has a journal — append the events
+    /// past the journal's mark to it and fsync. Returns the number of
+    /// events made durable (without a journal, the number of events the
+    /// index took). On failure the mark does not move, so the events stay
+    /// logged (the index already reflects them) and a retry commits them.
+    /// Transient failures were already retried inside the journal; a
+    /// permanent failure (full disk, wedged log) additionally puts the
+    /// platform into degraded read-only mode — see
+    /// [`Semex::try_recover_journal`].
     pub fn commit(&mut self) -> Result<usize, JournalError> {
         // Publish even under index batching: commit is the batch boundary
         // of the batched write path, and this is the single
         // `apply_events` call its mutations cost.
-        self.semex.flush_index();
-        let backlog = self.semex.store.events_since(self.semex.journaled);
-        match self.journal.append_commit(backlog) {
+        let taken = self.flush_index();
+        let Some(journal) = self.journal.as_mut() else {
+            return Ok(taken);
+        };
+        let store = &mut self.state.store;
+        match journal.append_commit(store.events_since(journal.next_seq())) {
             Ok(n) => {
-                self.semex.journaled = self.semex.indexed;
-                self.semex.store.release_events(self.semex.indexed);
+                store.release_events(self.indexed);
                 Ok(n)
             }
             Err(e) => {
                 if !e.is_transient() {
-                    self.semex.degraded = Some(e.to_string());
+                    self.degraded = Some(e.to_string());
                 }
                 Err(e)
             }
@@ -778,75 +733,93 @@ impl DurableSemex {
     /// can simply be retried.
     ///
     /// Also callable on a healthy platform, where it is just a reopen plus
-    /// commit. Refused, with nothing changed, on a follower whose
-    /// replicated batch failed part-way: its journal holds the whole batch
-    /// and its store only the prefix, which no reopen reconciles.
+    /// commit. Refused, with nothing changed, on a platform without a
+    /// journal, and on a follower whose replicated batch failed part-way:
+    /// its journal holds the whole batch and its store only the prefix,
+    /// which no reopen reconciles.
     pub fn try_recover_journal(&mut self) -> Result<usize, JournalError> {
-        if self.semex.journaled != self.journal.next_seq() {
-            return Err(JournalError::Invalid {
-                dir: self.journal.dir().to_path_buf(),
-                reason: "the store holds only part of a journaled batch; \
-                         bootstrap the follower afresh"
+        let head = self.store().event_head();
+        let Some(journal) = self.journal.as_mut() else {
+            return Err(no_journal("recovering the journal"));
+        };
+        if journal.next_seq() > head {
+            return Err(invalid(
+                journal,
+                "the store holds only part of a journaled batch; bootstrap the follower afresh"
                     .into(),
-            });
+            ));
         }
-        self.journal.reopen()?;
         // A failed commit that reached the disk in full — only its
-        // acknowledgment was lost — was just replayed: the journal's head
-        // moved past it, and re-appending it would duplicate its events.
-        self.semex.journaled = self.semex.journaled.max(self.journal.next_seq());
+        // acknowledgment was lost — is replayed by the reopen: the
+        // journal's mark moves past it, so it is not appended twice.
+        journal.reopen()?;
         let n = self.commit()?;
-        self.semex.degraded = None;
+        self.degraded = None;
         Ok(n)
     }
 
-    /// Apply one sealed commit batch shipped from a replication primary:
-    /// journal it first (a follower's acknowledgment must never run ahead
-    /// of its own durability), apply the events to the store, move the
-    /// journal's mark past them, and publish. Returns the new durable head
-    /// — the journal's next sequence number, which is the epoch the batch
-    /// is acked at.
+    /// Apply one sealed commit batch shipped from a replication primary,
+    /// starting at global sequence `start_seq`: journal it first (a
+    /// follower's acknowledgment must never run ahead of its own
+    /// durability), apply the events to the store, and publish. Returns the
+    /// new durable head — the journal's next sequence number, which is the
+    /// epoch the batch is acked at.
     ///
-    /// The facade must have no local mutations logged: a follower that
-    /// wrote locally has diverged from the primary, and interleaving its
-    /// events with shipped ones would corrupt both histories. Such a call
-    /// is refused with [`JournalError::Invalid`] and nothing is applied.
-    /// An event that fails to apply after journaling is logical
-    /// divergence: the prefix that did apply is published, and the
-    /// platform degrades to read-only.
-    pub fn apply_replicated(&mut self, events: &[StoreEvent]) -> Result<u64, JournalError> {
-        if let Some(cause) = &self.semex.degraded {
-            return Err(JournalError::Invalid {
-                dir: self.journal.dir().to_path_buf(),
-                reason: format!("follower is degraded: {cause}"),
-            });
+    /// Refused with [`JournalError::Invalid`], nothing applied, on a
+    /// platform without a journal (nothing would track the replicated
+    /// position), when `start_seq` is not the journal's head (the follower
+    /// and the primary have diverged), on a degraded follower, and when
+    /// local mutations are logged: a follower that wrote locally has
+    /// diverged from the primary, and interleaving its events with shipped
+    /// ones would corrupt both histories. An event that fails to apply
+    /// after journaling is logical divergence: the prefix that did apply is
+    /// published, and the platform degrades to read-only.
+    pub fn apply_replicated(
+        &mut self,
+        start_seq: u64,
+        events: &[StoreEvent],
+    ) -> Result<u64, JournalError> {
+        let pending = self.pending_events();
+        let Some(journal) = self.journal.as_mut() else {
+            return Err(no_journal("following a primary"));
+        };
+        let head = journal.next_seq();
+        if start_seq != head {
+            return Err(invalid(
+                journal,
+                format!(
+                    "replicated batch starts at {start_seq} but the follower's durable head \
+                     is {head}"
+                ),
+            ));
         }
-        if self.pending_events() > 0 {
-            return Err(JournalError::Invalid {
-                dir: self.journal.dir().to_path_buf(),
-                reason: "follower has local uncommitted mutations; it has diverged \
-                         from the primary"
-                    .into(),
-            });
+        if let Some(cause) = &self.degraded {
+            return Err(invalid(journal, format!("follower is degraded: {cause}")));
         }
-        self.journal.append_commit(events)?;
-        let failed = events
+        if pending > 0 {
+            return Err(invalid(
+                journal,
+                "follower has local uncommitted mutations; it has diverged from the primary".into(),
+            ));
+        }
+        journal.append_commit(events)?;
+        let store = &mut self.state.store;
+        let Some(e) = events
             .iter()
-            .find_map(|event| self.semex.store.apply_event(event).err());
-        self.semex.journaled = self.semex.store.event_head();
-        self.semex.flush_index();
-        if let Some(e) = failed {
-            // The journal already sealed the batch but the store cannot
-            // represent it: logical divergence. Degrade — serving reads of
-            // a half-applied batch is worse than refusing writes.
-            let reason = format!("replicated event failed to apply: {e}");
-            self.semex.degraded = Some(reason.clone());
-            return Err(JournalError::Invalid {
-                dir: self.journal.dir().to_path_buf(),
-                reason,
-            });
-        }
-        Ok(self.journal.next_seq())
+            .find_map(|event| store.apply_event(event).err())
+        else {
+            self.flush_index();
+            return Ok(self.journaled());
+        };
+        // The journal already sealed the batch but the store cannot
+        // represent it: logical divergence. Publish the prefix and degrade —
+        // serving reads of a half-applied batch is worse than refusing
+        // writes.
+        let reason = format!("replicated event failed to apply: {e}");
+        let err = invalid(journal, reason.clone());
+        self.flush_index();
+        self.degraded = Some(reason);
+        Err(err)
     }
 
     /// Commit, then fold the whole journal into a new snapshot and delete
@@ -854,7 +827,10 @@ impl DurableSemex {
     /// new epoch's sidecar, so the next open skips the rebuild.
     pub fn compact(&mut self) -> Result<CompactionReport, JournalError> {
         self.commit()?;
-        let report = self.journal.compact(&self.semex.store)?;
+        let Some(journal) = self.journal.as_mut() else {
+            return Err(no_journal("compaction"));
+        };
+        let report = journal.compact(&self.state.store)?;
         self.refresh_index_sidecar();
         Ok(report)
     }
@@ -864,22 +840,12 @@ impl DurableSemex {
     /// next open a rebuild), so failures are swallowed rather than failing
     /// the commit path that triggered it.
     fn refresh_index_sidecar(&self) {
-        // Stamp the position the index actually reflects: its mark, which
-        // callers have published up to the journal's head.
-        let bytes = self
-            .semex
-            .index
-            .to_sidecar(self.journal.epoch(), self.semex.indexed);
-        self.journal.write_index_sidecar(&bytes).ok();
-    }
-
-    /// Detach the platform from its journal (for read-only use of a
-    /// recovered space). Uncommitted events are lost; the journal files
-    /// stay valid on disk.
-    pub fn into_inner(mut self) -> Semex {
-        self.semex.journaled = u64::MAX;
-        self.semex.flush_index();
-        self.semex
+        if let Some(journal) = &self.journal {
+            // Stamp the position the index actually reflects: its mark,
+            // which callers have published up to the journal's head.
+            let bytes = self.index().to_sidecar(journal.epoch(), self.indexed);
+            journal.write_index_sidecar(&bytes).ok();
+        }
     }
 }
 
@@ -1102,7 +1068,10 @@ mod tests {
         io.set_plan(FaultPlan::DiskFull { at: io.op_count() });
         let err = durable.commit().unwrap_err();
         assert!(!err.is_transient(), "ENOSPC is permanent: {err}");
-        assert!(durable.journal().is_wedged(), "failed rollback wedges");
+        assert!(
+            durable.journal().unwrap().is_wedged(),
+            "failed rollback wedges"
+        );
         assert!(durable.degraded().is_some(), "platform must degrade");
         assert_eq!(durable.pending_events(), backlog, "backlog preserved");
 
@@ -1169,6 +1138,33 @@ mod tests {
             assert_eq!(reopened.search(q, 5).len(), 1, "{q}");
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn journal_operations_without_a_journal_are_refused() {
+        let mut semex = demo();
+        assert!(semex.journal().is_none());
+        semex.set_index_batching(true);
+        semex
+            .ingest(crate::SourceSpec::Mbox {
+                name: "later".into(),
+                content: "From: new@person.example\nSubject: zanzibar\n\nhi".into(),
+            })
+            .unwrap();
+        assert_eq!(semex.pending_events(), 0, "nothing awaits a journal");
+        // Commit still publishes: the index takes the batch.
+        assert!(semex.commit().unwrap() > 0);
+        assert_eq!(semex.search("zanzibar", 5).len(), 1);
+        let refusals = [
+            semex.compact().map(drop).unwrap_err(),
+            semex.try_recover_journal().map(drop).unwrap_err(),
+            semex.apply_replicated(0, &[]).map(drop).unwrap_err(),
+        ];
+        for err in refusals {
+            assert!(matches!(err, JournalError::Invalid { .. }), "{err}");
+            assert!(err.to_string().contains("needs a journal"), "{err}");
+        }
+        assert!(semex.degraded().is_none(), "a refusal degrades nothing");
     }
 
     #[test]

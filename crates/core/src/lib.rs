@@ -14,10 +14,12 @@
 //! sources (mbox archives, vCard files, BibTeX bibliographies, LaTeX
 //! sources, whole directory trees), then [`SemexBuilder::build`] extracts
 //! everything, runs reference reconciliation, and indexes the resulting
-//! objects. The built [`Semex`] answers keyword [`Semex::search`], shows an
-//! object with its labelled associations ([`Semex::view`], browsed through
-//! [`semex_query::summary`]), folds external tables in on the fly
-//! ([`Semex::integrate`]) and snapshots to disk.
+//! objects. The built [`Semex`] answers keyword [`Snapshot::search`], shows
+//! an object with its labelled associations ([`Snapshot::view`], browsed
+//! through [`semex_query::summary`]), folds external tables in on the fly
+//! ([`Semex::integrate`]) and snapshots to disk. Opened on a journal
+//! directory ([`Semex::open_durable`]) the same type commits its mutations
+//! to a write-ahead journal.
 //!
 //! ```
 //! use semex_core::SemexBuilder;

@@ -134,7 +134,7 @@ pub enum SemexError {
     /// made durable, so they are rejected rather than silently accepted and
     /// lost. Queries keep working; already-buffered events stay in memory.
     /// Once the underlying condition is fixed, call
-    /// [`crate::DurableSemex::try_recover_journal`] to repair the journal,
+    /// [`crate::Semex::try_recover_journal`] to repair the journal,
     /// flush the backlog, and leave degraded mode.
     Degraded {
         /// The journal failure that triggered degradation.

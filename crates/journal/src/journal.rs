@@ -187,10 +187,10 @@ pub enum DamageKind {
     /// The segment's start sequence does not continue the log (duplicated,
     /// reordered or missing segment).
     SequenceMismatch,
-    /// A decoded event did not apply cleanly to the recovering store.
-    /// Unreachable for journals produced by this crate; indicates logical
-    /// corruption, and the recovered store may include a prefix of the
-    /// damaged commit.
+    /// A decoded event did not apply cleanly to the recovering store:
+    /// logical corruption, or a replicated batch a follower journaled but
+    /// could not apply. The damaged commit is dropped whole — from the log
+    /// and from the recovered store alike.
     Apply,
     /// The log ends with events that were never sealed by a commit marker:
     /// the writer crashed between appending and acknowledging. The tail is
@@ -893,6 +893,33 @@ pub fn recover_with_io(
 }
 
 fn recover_inner(
+    dir: &Path,
+    config: JournalConfig,
+    io: Arc<dyn JournalIo>,
+    initial: Option<Store>,
+) -> Result<(Store, Journal, RecoveryReport), JournalError> {
+    let (store, journal, mut report) = replay(dir, config.clone(), Arc::clone(&io), initial)?;
+    let unapplied = report
+        .damage
+        .as_ref()
+        .is_some_and(|d| d.kind == DamageKind::Apply);
+    if !unapplied || journal.wedged {
+        return Ok((store, journal, report));
+    }
+    // A sealed batch whose event failed to apply left the events before it
+    // in the store, while the repair cut the log back to the marker before
+    // the batch. Replay the repaired log from the snapshot, so the store,
+    // the sequence and the disk agree on the whole batch being gone.
+    let (store, journal, replayed) = replay(dir, config, io, None)?;
+    report.events_applied = replayed.events_applied;
+    report.segments_replayed = replayed.segments_replayed;
+    report.warnings.extend(replayed.warnings);
+    Ok((store, journal, report))
+}
+
+/// One replay of a journal directory: snapshot, then every sealed batch of
+/// its epoch's log, repairing the log at the first damage.
+fn replay(
     dir: &Path,
     config: JournalConfig,
     io: Arc<dyn JournalIo>,

@@ -7,7 +7,7 @@
 use semex_journal::{recover, DamageKind, JournalConfig};
 use semex_model::names::{assoc, attr, class};
 use semex_model::Value;
-use semex_store::{ObjectId, SourceInfo, SourceKind, Store};
+use semex_store::{ObjectId, SourceInfo, SourceKind, Store, StoreEvent};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -149,6 +149,51 @@ fn uncommitted_events_are_lost_committed_ones_survive() {
     let (reopened, _, report) = recover(&dir, config()).unwrap();
     assert!(report.damage.is_none());
     assert_same_store(&reopened, &expected_after_scenario());
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_sealed_batch_that_fails_to_apply_is_dropped_whole() {
+    let dir = scratch("apply");
+    let (mut store, mut journal, _) = recover(&dir, config()).unwrap();
+    scenario(&mut store);
+    journal.commit(&mut store).unwrap();
+    let sealed = journal.next_seq();
+    // A batch whose second event names an object nobody allocated: the
+    // journal seals it, but no store can apply it.
+    let person = store.model().class(class::PERSON).unwrap();
+    let fresh = ObjectId(store.slot_count() as u64);
+    let ghost = ObjectId(1 << 40);
+    journal
+        .append_commit(&[
+            StoreEvent::AddObject { class: person },
+            StoreEvent::Merge {
+                winner: ghost,
+                loser: fresh,
+            },
+        ])
+        .unwrap();
+    drop((store, journal));
+
+    // The whole batch is gone: from the store, the sequence and the disk.
+    let (mut store, mut journal, report) = recover(&dir, config()).unwrap();
+    assert_eq!(report.damage.map(|d| d.kind), Some(DamageKind::Apply));
+    assert_eq!(report.events_applied, sealed);
+    assert_same_store(&store, &expected_after_scenario());
+    assert_eq!(journal.next_seq(), sealed);
+    assert_eq!(store.event_head(), sealed);
+
+    // A write committed after that survives the next reopen, and the
+    // sequence counts exactly the events on disk.
+    extra_event(&mut store);
+    assert_eq!(journal.commit(&mut store).unwrap(), 1);
+    let live = store.clone();
+    drop((store, journal));
+    let (reopened, journal, report) = recover(&dir, config()).unwrap();
+    assert!(report.damage.is_none(), "{report:?}");
+    assert_eq!(report.events_applied, sealed + 1);
+    assert_eq!(journal.next_seq(), report.base_seq + report.events_applied);
+    assert_same_store(&reopened, &live);
     fs::remove_dir_all(&dir).ok();
 }
 

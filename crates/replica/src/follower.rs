@@ -30,7 +30,7 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// Where a replicated batch lands on the follower. The serve stack's
 /// implementation is [`ServeSink`]; tests drive a bare
-/// [`semex_core::DurableSemex`] directly.
+/// journal-backed [`semex_core::Semex`] directly.
 pub trait ApplySink: Send + Sync {
     /// The follower's durable head (next expected sequence).
     fn head(&self) -> u64;

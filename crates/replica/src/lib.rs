@@ -42,9 +42,8 @@ mod hub;
 pub use follower::{bootstrap, ApplySink, Bootstrap, PullBackoff, Puller, ServeSink};
 pub use hub::{HubConfig, ReplicationHub, SendGate};
 
-use semex_core::{Semex, SemexConfig};
-use semex_journal::JournalConfig;
-use semex_serve::{serve, Master, ReplicaRole, ServeConfig, ServeHandle, TenantId};
+use semex_core::Semex;
+use semex_serve::{serve, PoolConfig, ReplicaRole, ServeConfig, ServeHandle, TenantId};
 use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::Arc;
@@ -60,8 +59,10 @@ pub struct Follower {
 }
 
 /// Stand up a complete follower: bootstrap `dir` from the primary
-/// (snapshot + journal tail catch-up), recover a durable master from it,
-/// serve reads on `addr` under a follower role with the given lag bound,
+/// (snapshot + journal tail catch-up), recover a durable master from it
+/// with `pool_config`'s platform and journal tunables, serve reads on
+/// `addr` under a follower role with the given lag bound (write queue and
+/// read cache as `pool_config` sets them),
 /// and start the pull loop — with the promotion handshake pre-installed,
 /// so a `promote` request (or a direct [`ReplicaRole::promote`]) flips
 /// this process to primary without losing the in-flight batch.
@@ -70,16 +71,17 @@ pub fn follow(
     dir: &Path,
     addr: impl std::net::ToSocketAddrs,
     mut config: ServeConfig,
-    journal_config: JournalConfig,
+    pool_config: PoolConfig,
     max_lag: u64,
     name: impl Into<String>,
 ) -> Result<Follower, String> {
     bootstrap(primary, dir)?;
-    let (durable, _report) = Semex::open_durable_with(dir, SemexConfig::default(), journal_config)
-        .map_err(|e| format!("cannot open follower journal: {e}"))?;
+    let (durable, _report) =
+        Semex::open_durable_with(dir, pool_config.semex.clone(), pool_config.journal.clone())
+            .map_err(|e| format!("cannot open follower journal: {e}"))?;
     let role = Arc::new(ReplicaRole::follower(max_lag));
     config.role = Some(Arc::clone(&role));
-    let serve = serve(Master::Durable(durable), addr, config)
+    let serve = serve(durable, addr, config, pool_config)
         .map_err(|e| format!("cannot serve follower: {e}"))?;
     let sink = Arc::new(ServeSink::new(serve.replication_sink(), TenantId::DEFAULT));
     let puller = Puller::start(

@@ -33,7 +33,7 @@ use semex_journal::{recover_with_io, FaultIo, FaultPlan, JournalConfig, JournalI
 use semex_model::names::{assoc, attr, class};
 use semex_model::Value;
 use semex_replica::{ApplySink, HubConfig, PullBackoff, Puller, ReplicationHub, SendGate};
-use semex_serve::{CommitTap, Master};
+use semex_serve::CommitTap;
 use semex_store::{SourceInfo, SourceKind, Store, StoreEvent};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -123,10 +123,10 @@ fn boundary_seqs() -> [u64; 4] {
 }
 
 /// The follower under test: a real durable master (journal-first apply
-/// through [`Master::apply_replicated`], the same path the serve sink
+/// through [`Semex::apply_replicated`], the same path the serve sink
 /// uses) behind the [`ApplySink`] interface the puller drives.
 struct MasterSink {
-    master: Mutex<Master>,
+    master: Mutex<Semex>,
 }
 
 impl MasterSink {
@@ -135,24 +135,18 @@ impl MasterSink {
             .expect("open follower journal");
         assert!(report.damage.is_none(), "follower open: {report:?}");
         Arc::new(MasterSink {
-            master: Mutex::new(Master::Durable(durable)),
+            master: Mutex::new(durable),
         })
     }
 
     fn store_json(&self) -> String {
-        self.master
-            .lock()
-            .unwrap()
-            .semex()
-            .store()
-            .to_json()
-            .unwrap()
+        self.master.lock().unwrap().store().to_json().unwrap()
     }
 }
 
 impl ApplySink for MasterSink {
     fn head(&self) -> u64 {
-        self.master.lock().unwrap().boot_epoch()
+        self.master.lock().unwrap().journal().unwrap().next_seq()
     }
 
     fn apply(&self, start_seq: u64, events_json: Vec<String>) -> Result<u64, String> {
@@ -291,10 +285,10 @@ fn run_cluster(io: Arc<dyn JournalIo>, gate: Option<Arc<SendGate>>) -> ClusterRu
     let (durable, report) = Semex::open_durable_with(&follower_dir, SemexConfig::default(), cfg())
         .expect("reopen promoted follower");
     assert!(report.damage.is_none(), "promoted follower: {report:?}");
-    assert_eq!(Master::Durable(durable).boot_epoch(), run.follower_head);
+    assert_eq!(durable.journal().unwrap().next_seq(), run.follower_head);
     let (durable, _) = Semex::open_durable_with(&follower_dir, SemexConfig::default(), cfg())
         .expect("reopen promoted follower twice");
-    run.reopened_json = Master::Durable(durable).semex().store().to_json().unwrap();
+    run.reopened_json = durable.store().to_json().unwrap();
 
     std::fs::remove_dir_all(&primary_dir).ok();
     std::fs::remove_dir_all(&follower_dir).ok();

@@ -10,7 +10,7 @@ use semex_core::{Semex, SemexBuilder, SemexConfig};
 use semex_journal::{recover_with_io, FaultIo, FaultPlan, JournalConfig};
 use semex_replica::{follow, replicate, ApplySink, Follower, HubConfig, PullBackoff, Puller};
 use semex_serve::protocol::{ErrorKindWire, IngestFormat, Request, Response};
-use semex_serve::{serve, Client, Master, ServeConfig, TenantId};
+use semex_serve::{serve, Client, PoolConfig, ServeConfig, TenantId};
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,11 +42,11 @@ struct Cluster {
 fn cluster(tag: &str, n: usize, max_lag: u64) -> Cluster {
     let primary_dir = scratch(&format!("{tag}-primary"));
     let (durable, _) = Semex::open_durable(&primary_dir, SemexConfig::default()).unwrap();
-    let master = Master::Durable(durable);
+    let master = durable;
     let mut config = ServeConfig::default();
     let hub = replicate(
         &primary_dir,
-        master.boot_epoch(),
+        master.journal().unwrap().next_seq(),
         "127.0.0.1:0",
         &mut config,
         HubConfig {
@@ -55,7 +55,7 @@ fn cluster(tag: &str, n: usize, max_lag: u64) -> Cluster {
         },
     )
     .unwrap();
-    let primary = serve(master, "127.0.0.1:0", config).unwrap();
+    let primary = serve(master, "127.0.0.1:0", config, PoolConfig::default()).unwrap();
 
     let mut followers = Vec::new();
     let mut dirs = vec![primary_dir];
@@ -66,7 +66,7 @@ fn cluster(tag: &str, n: usize, max_lag: u64) -> Cluster {
             &dir,
             "127.0.0.1:0",
             ServeConfig::default(),
-            JournalConfig::default(),
+            PoolConfig::default(),
             max_lag,
             format!("f{i}"),
         )
@@ -183,17 +183,17 @@ fn fresh_follower_bootstraps_a_journal_born_from_a_populated_store() {
     let durable = semex
         .into_durable(&primary_dir, JournalConfig::default())
         .unwrap();
-    let master = Master::Durable(durable);
+    let master = durable;
     let mut config = ServeConfig::default();
     let hub = replicate(
         &primary_dir,
-        master.boot_epoch(),
+        master.journal().unwrap().next_seq(),
         "127.0.0.1:0",
         &mut config,
         HubConfig::default(),
     )
     .unwrap();
-    let primary = serve(master, "127.0.0.1:0", config).unwrap();
+    let primary = serve(master, "127.0.0.1:0", config, PoolConfig::default()).unwrap();
 
     let follower_dir = scratch("born-f0");
     let follower = follow(
@@ -201,7 +201,7 @@ fn fresh_follower_bootstraps_a_journal_born_from_a_populated_store() {
         &follower_dir,
         "127.0.0.1:0",
         ServeConfig::default(),
-        JournalConfig::default(),
+        PoolConfig::default(),
         1024,
         "f0",
     )

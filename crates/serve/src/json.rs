@@ -3,8 +3,8 @@
 //! The wire protocol is length-prefixed JSON; the serving crate is std-only
 //! by design (it must run in environments without any async runtime or
 //! external codec), so the little JSON surface it needs is hand-rolled
-//! here, in the same spirit as the journal's from-scratch CRC32. The
-//! parser is strict (no trailing garbage, no duplicate acceptance quirks),
+//! here, in the same spirit as the store's table-driven CRC32
+//! (`semex_store::binary::crc32`). The parser is strict (no trailing garbage, no duplicate acceptance quirks),
 //! bounds recursion depth, and round-trips every value the writer emits —
 //! the protocol proptests pin that down.
 

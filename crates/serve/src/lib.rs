@@ -36,7 +36,7 @@
 //!    bound; [`Client::request_with_retry`] turns those refusals into
 //!    jittered, capped exponential backoff.
 //! 5. **Epoch-keyed read caching.** With a cache budget configured
-//!    ([`PoolConfig::cache_budget`] / [`ServeConfig::cache_budget`]),
+//!    ([`PoolConfig::cache_budget`], for [`serve`] and [`serve_tenants`]),
 //!    read answers are cached as encoded frame payloads keyed on
 //!    `(tenant, epoch, canonical request)` — immutable snapshots make
 //!    such entries *provably* fresh — and concurrent identical misses
@@ -65,8 +65,7 @@ pub use client::{Client, RetryPolicy};
 pub use role::{CommitTap, ReplicaRole};
 pub use semex_cache::{ReadCache, TenantCacheStats};
 pub use semex_tenant::{
-    EpochSnapshot, Master, PoolConfig, PoolReport, PoolSnapshot, SnapshotEngine, TenantId,
-    TenantRegistry,
+    EpochSnapshot, PoolConfig, PoolReport, PoolSnapshot, SnapshotEngine, TenantId, TenantRegistry,
 };
 pub use server::{serve, serve_tenants, ReplicationSink, ServeConfig, ServeHandle, ServeReport};
 pub use writer::{Applied, WriteCommand, WriterReport};

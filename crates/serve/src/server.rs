@@ -34,11 +34,12 @@ use crate::protocol::{
 use crate::role::{CommitTap, ReplicaRole};
 use crate::writer::{pool_worker, WriteCommand, WriteJob, WriterReport, WriterStats};
 use semex_cache::{CacheKey, TenantCacheStats};
+use semex_core::Semex;
 use semex_query::exec::run_page;
 use semex_query::join::JoinError;
 use semex_query::{Cursor, CursorError, ExecConfig, PageError};
 use semex_tenant::{
-    EnqueueError, EpochSnapshot, Master, PoolConfig, PoolReport, PoolSnapshot, Tenant, TenantError,
+    EnqueueError, EpochSnapshot, PoolConfig, PoolReport, PoolSnapshot, Tenant, TenantError,
     TenantId, TenantPool, TenantRegistry,
 };
 use std::io;
@@ -57,7 +58,10 @@ const MAX_SOLUTION_ROWS: usize = 50;
 /// from wherever the clamped page ended.
 const MAX_PATH_PAGE: usize = 500;
 
-/// Serving-layer tunables.
+/// Serving-layer tunables: the TCP front end and the thread counts. The
+/// tenant pool's own knobs — write-queue depth, batch size, read-cache and
+/// memory budgets — are a [`PoolConfig`], passed beside this to [`serve`]
+/// and [`serve_tenants`].
 #[derive(Clone)]
 pub struct ServeConfig {
     /// Worker threads executing requests (readers; writes are queued for
@@ -70,11 +74,6 @@ pub struct ServeConfig {
     /// Bound on the admitted-connection backlog; beyond it, connections
     /// are shed with `overloaded`.
     pub conn_queue: usize,
-    /// Bound on each tenant's write queue; beyond it, writes are shed with
-    /// `overloaded`.
-    pub write_queue: usize,
-    /// Most writes coalesced into one commit+publish cycle.
-    pub max_batch: usize,
     /// Per-connection socket read timeout (an idle client is hung up on).
     pub read_timeout: Duration,
     /// Per-connection socket write timeout.
@@ -83,11 +82,6 @@ pub struct ServeConfig {
     /// verification harnesses replay them sequentially; meaningful for
     /// single-tenant servers only — cross-tenant order is arbitrary).
     pub record_writes: bool,
-    /// Byte budget for the epoch-keyed read cache; `0` (the default)
-    /// serves every read from the snapshot. Only [`serve`] consumes this
-    /// (it builds the pool internally); [`serve_tenants`] callers set
-    /// [`PoolConfig::cache_budget`] directly.
-    pub cache_budget: usize,
     /// Replication role. `None` (the default) is a standalone primary;
     /// [`ReplicaRole::follower`] makes this server a read replica —
     /// writes are refused with `not_primary`, reads beyond the role's lag
@@ -106,12 +100,9 @@ impl std::fmt::Debug for ServeConfig {
             .field("threads", &self.threads)
             .field("writer_threads", &self.writer_threads)
             .field("conn_queue", &self.conn_queue)
-            .field("write_queue", &self.write_queue)
-            .field("max_batch", &self.max_batch)
             .field("read_timeout", &self.read_timeout)
             .field("write_timeout", &self.write_timeout)
             .field("record_writes", &self.record_writes)
-            .field("cache_budget", &self.cache_budget)
             .field("role", &self.role)
             .field("commit_tap", &self.commit_tap.as_ref().map(|_| "<tap>"))
             .finish()
@@ -124,12 +115,9 @@ impl Default for ServeConfig {
             threads: 4,
             writer_threads: 2,
             conn_queue: 64,
-            write_queue: 64,
-            max_batch: 32,
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(30),
             record_writes: false,
-            cache_budget: 0,
             role: None,
             commit_tap: None,
         }
@@ -164,7 +152,7 @@ pub struct ServeReport {
     /// The master platform, final state, journal sealed. `Some` only for a
     /// server started with [`serve`] (whose single master is pinned);
     /// multi-tenant masters live and die inside the pool.
-    pub master: Option<Master>,
+    pub master: Option<Semex>,
     /// Read-cache counters summed over every tenant; `None` when the
     /// server ran without a cache.
     pub cache: Option<TenantCacheStats>,
@@ -354,18 +342,16 @@ impl ReplicationSink {
 /// ephemeral port) as the pinned `"default"` tenant. Spawns the listener,
 /// `config.threads` connection workers, and `config.writer_threads` writer
 /// workers, then returns immediately. The master is pinned — never evicted
-/// — and handed back through [`ServeHandle::join`].
+/// — and handed back through [`ServeHandle::join`]. A master with a
+/// journal serves durably (every acked write is committed); one without
+/// serves from memory. `pool_config.queue_depth`, `max_batch` and
+/// `cache_budget` govern its write queue and read cache.
 pub fn serve(
-    master: Master,
+    master: Semex,
     addr: impl ToSocketAddrs,
     config: ServeConfig,
+    pool_config: PoolConfig,
 ) -> io::Result<ServeHandle> {
-    let pool_config = PoolConfig {
-        queue_depth: config.write_queue,
-        max_batch: config.max_batch,
-        cache_budget: config.cache_budget,
-        ..PoolConfig::default()
-    };
     let pool = Arc::new(TenantPool::single(master, pool_config));
     serve_pool(pool, addr, config)
 }
@@ -374,8 +360,8 @@ pub fn serve(
 /// are activated lazily (recovered from their journal directories on first
 /// request) and evicted LRU-first when the pool exceeds
 /// `pool_config.memory_budget`. `pool_config.queue_depth` and `max_batch`
-/// govern each tenant's write queue; `config` governs the TCP front end
-/// and the thread counts.
+/// govern each tenant's write queue and `cache_budget` the shared read
+/// cache; `config` governs the TCP front end and the thread counts.
 pub fn serve_tenants(
     registry: TenantRegistry,
     addr: impl ToSocketAddrs,

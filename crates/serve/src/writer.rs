@@ -23,7 +23,7 @@ use crate::protocol::{ErrorKindWire, IngestFormat, Request, Response};
 use crate::role::CommitTap;
 use semex_core::{Semex, SemexError, SourceSpec};
 use semex_store::ObjectId;
-use semex_tenant::{Master, SnapshotEngine, TenantPool};
+use semex_tenant::{SnapshotEngine, TenantPool};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
@@ -98,9 +98,11 @@ impl WriteCommand {
         })
     }
 
-    /// Apply this command to a platform directly (the sequential-replay
-    /// oracle the concurrency tests compare the served state against).
-    /// Returns the success response minus its epoch.
+    /// Apply this command to a platform — the writer's path, and the
+    /// sequential-replay oracle the concurrency tests compare the served
+    /// state against. A replicated batch goes through the platform's
+    /// journal-first [`Semex::apply_replicated`]. Returns the success
+    /// response minus its epoch.
     pub fn apply(&self, semex: &mut Semex) -> Result<Applied, Response> {
         match self {
             WriteCommand::Ingest {
@@ -164,41 +166,28 @@ impl WriteCommand {
                 let accepted = semex.assert_distinct(a, b).map_err(error_response)?;
                 Ok(Applied::Asserted { merged: accepted })
             }
-            WriteCommand::Replicate { .. } => Err(Response::Error {
-                kind: ErrorKindWire::BadRequest,
-                message: "a replicated batch applies through a journal-backed master, \
-                          not a bare platform"
-                    .into(),
-            }),
+            WriteCommand::Replicate {
+                start_seq,
+                events_json,
+            } => {
+                let mut events = Vec::with_capacity(events_json.len());
+                for json in events_json {
+                    let event = serde_json::from_str(json).map_err(|e| Response::Error {
+                        kind: ErrorKindWire::BadRequest,
+                        message: format!("undecodable replicated event: {e}"),
+                    })?;
+                    events.push(event);
+                }
+                semex
+                    .apply_replicated(*start_seq, &events)
+                    .map(|_| Applied::Replicated)
+                    .map_err(|e| Response::Error {
+                        kind: ErrorKindWire::Internal,
+                        message: format!("replicated batch refused: {e}"),
+                    })
+            }
         }
     }
-}
-
-/// Apply a replicated batch through the master's journal-first path.
-/// Returns the number of events applied (how far the publication epoch
-/// advances beyond what [`Master::commit`] reports, since replicated
-/// events are journaled and folded in directly rather than recorded as
-/// local pending mutations).
-fn apply_replicate(
-    master: &mut Master,
-    start_seq: u64,
-    events_json: &[String],
-) -> Result<u64, Response> {
-    let mut events = Vec::with_capacity(events_json.len());
-    for json in events_json {
-        let event = serde_json::from_str(json).map_err(|e| Response::Error {
-            kind: ErrorKindWire::BadRequest,
-            message: format!("undecodable replicated event: {e}"),
-        })?;
-        events.push(event);
-    }
-    master
-        .apply_replicated(start_seq, &events)
-        .map(|_| events.len() as u64)
-        .map_err(|e| Response::Error {
-            kind: ErrorKindWire::Internal,
-            message: format!("replicated batch refused: {e}"),
-        })
 }
 
 /// A successfully applied write, waiting for its batch to commit so the
@@ -386,7 +375,7 @@ pub(crate) fn pool_worker(
 /// contract lives here. Runs with exclusive access to the tenant's master
 /// (the pool guarantees one servicing worker per tenant at a time).
 fn service_batch(
-    master: &mut Master,
+    master: &mut Semex,
     engine: &SnapshotEngine,
     batch: Vec<WriteJob>,
     stats: &WriterStats,
@@ -395,7 +384,6 @@ fn service_batch(
     tap: Option<&dyn CommitTap>,
 ) {
     let mut outcomes = Vec::with_capacity(batch.len());
-    let mut replicated: u64 = 0;
     for job in batch {
         if stop.load(Ordering::SeqCst) {
             // Queued but unacked when shutdown began: reject, don't
@@ -403,16 +391,7 @@ fn service_batch(
             stats.reject_shutting_down(job);
             continue;
         }
-        let outcome = match &job.cmd {
-            WriteCommand::Replicate {
-                start_seq,
-                events_json,
-            } => apply_replicate(master, *start_seq, events_json).map(|n| {
-                replicated += n;
-                Applied::Replicated
-            }),
-            _ => job.cmd.apply(master.semex_mut()),
-        };
+        let outcome = job.cmd.apply(master);
         if record_writes && outcome.is_ok() && !matches!(job.cmd, WriteCommand::Replicate { .. }) {
             stats
                 .applied
@@ -433,20 +412,15 @@ fn service_batch(
     // batch is durable locally but the client never saw an ack, so losing
     // it in a failover breaks no promise.
     let tap_err = match (&committed, tap) {
-        (Ok(n), Some(tap)) if *n > 0 => tap.on_commit(master.boot_epoch()).err(),
+        (Ok(n), Some(tap)) if *n > 0 => tap.on_commit(master.store().event_head()).err(),
         _ => None,
     };
     // Publish even on commit failure: readers must track the master's
     // in-memory state (which, degraded, still serves the un-durable
-    // mutations — exactly the degraded-mode contract). A failed commit
-    // advances the epoch by one so readers can still observe the changed
-    // state under a fresh epoch. Replicated events are journaled outside
-    // the commit's count, so they advance the epoch separately — keeping
-    // a follower's epoch identical to the primary's at the same state.
-    let epoch = match &committed {
-        Ok(n) => engine.publish_advance(master.snapshot(), *n as u64 + replicated),
-        Err(_) => engine.publish_advance(master.snapshot(), 1),
-    };
+    // mutations — exactly the degraded-mode contract). The epoch is the
+    // state's event head, so a changed state always carries a fresh one,
+    // and a follower's epoch is the primary's at the same state.
+    let epoch = engine.publish(master.snapshot());
     for (reply, outcome) in outcomes {
         let response = match (&committed, outcome) {
             (Ok(_), Ok(applied)) => match &tap_err {

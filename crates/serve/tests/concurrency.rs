@@ -17,7 +17,7 @@
 use semex_core::{Semex, SemexBuilder};
 use semex_serve::json::Json;
 use semex_serve::protocol::{IngestFormat, Request, Response};
-use semex_serve::{serve, Client, Master, ServeConfig};
+use semex_serve::{serve, Client, PoolConfig, ServeConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -77,7 +77,7 @@ fn readers_never_observe_torn_epochs_and_writes_replay_sequentially() {
         record_writes: true,
         ..ServeConfig::default()
     };
-    let handle = serve(Master::Ephemeral(demo()), "127.0.0.1:0", config).unwrap();
+    let handle = serve(demo(), "127.0.0.1:0", config, PoolConfig::default()).unwrap();
     let addr = handle.addr();
 
     // The writer client: a stream of ingests, each a unique token.
@@ -233,12 +233,11 @@ fn readers_never_observe_torn_epochs_and_writes_replay_sequentially() {
         .expect("single-tenant serve hands back its pinned master");
     assert_eq!(
         canon(&replay.store().to_json().unwrap()),
-        canon(&master.semex().store().to_json().unwrap()),
+        canon(&master.store().to_json().unwrap()),
         "post-shutdown store must be byte-identical to the sequential replay"
     );
     // And the final store really contains every acked token.
-    let served = master.into_semex();
     for i in 0..WRITES {
-        assert_eq!(served.search(&token(i), 3).len(), 1, "write {i}");
+        assert_eq!(master.search(&token(i), 3).len(), 1, "write {i}");
     }
 }

@@ -11,7 +11,7 @@
 
 use semex_core::{JournalConfig, Semex, SemexConfig};
 use semex_serve::protocol::{ErrorKindWire, IngestFormat, Request, Response};
-use semex_serve::{serve, Client, Master, ServeConfig};
+use semex_serve::{serve, Client, PoolConfig, ServeConfig};
 use std::thread;
 use std::time::Duration;
 
@@ -53,7 +53,7 @@ fn acked_writes_recover_and_unacked_queued_writes_are_rejected() {
         threads: 3,
         ..ServeConfig::default()
     };
-    let handle = serve(Master::Durable(durable), "127.0.0.1:0", config).unwrap();
+    let handle = serve(durable, "127.0.0.1:0", config, PoolConfig::default()).unwrap();
     let addr = handle.addr();
 
     // 1. A write acked well before shutdown.

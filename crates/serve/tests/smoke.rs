@@ -7,7 +7,8 @@ use semex_core::{Semex, SemexBuilder};
 use semex_serve::protocol::{
     read_response, write_frame, ErrorKindWire, IngestFormat, Request, Response,
 };
-use semex_serve::{serve, Client, Master, ServeConfig};
+use semex_serve::{serve, Client, PoolConfig, ServeConfig};
+use semex_store::StoreEvent;
 use std::net::TcpStream;
 use std::thread;
 use std::time::Duration;
@@ -31,9 +32,10 @@ fn demo() -> Semex {
 #[test]
 fn every_request_variant_round_trips_through_a_live_server() {
     let handle = serve(
-        Master::Ephemeral(demo()),
+        demo(),
         "127.0.0.1:0",
         ServeConfig::default(),
+        PoolConfig::default(),
     )
     .unwrap();
     let addr = handle.addr();
@@ -333,9 +335,10 @@ fn an_over_budget_pattern_join_is_refused_and_the_connection_stays_open() {
         .build()
         .unwrap();
     let handle = serve(
-        Master::Ephemeral(space),
+        space,
         "127.0.0.1:0",
         ServeConfig::default(),
+        PoolConfig::default(),
     )
     .unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
@@ -379,7 +382,7 @@ fn overload_sheds_connections_with_a_typed_response() {
         read_timeout: Duration::from_secs(5),
         ..ServeConfig::default()
     };
-    let handle = serve(Master::Ephemeral(demo()), "127.0.0.1:0", config).unwrap();
+    let handle = serve(demo(), "127.0.0.1:0", config, PoolConfig::default()).unwrap();
     let addr = handle.addr();
 
     // Occupy the only worker with a held-open session...
@@ -415,11 +418,14 @@ fn overload_sheds_writes_with_a_typed_response() {
     // the writer and a second write fills the slot, a third gets shed.
     let config = ServeConfig {
         threads: 3,
-        write_queue: 1,
-        max_batch: 1,
         ..ServeConfig::default()
     };
-    let handle = serve(Master::Ephemeral(demo()), "127.0.0.1:0", config).unwrap();
+    let pool = PoolConfig {
+        queue_depth: 1,
+        max_batch: 1,
+        ..PoolConfig::default()
+    };
+    let handle = serve(demo(), "127.0.0.1:0", config, pool).unwrap();
     let addr = handle.addr();
 
     let slow_mbox: String = (0..250)
@@ -485,11 +491,14 @@ fn a_hostile_replicated_batch_degrades_with_a_typed_error_and_the_connection_sta
     let durable = demo()
         .into_durable(&dir, semex_core::JournalConfig::default())
         .unwrap();
-    let head = durable.journal().next_seq();
+    let head = durable.journal().unwrap().next_seq();
+    let objects = durable.store().object_count();
+    let person = durable.store().model().class("Person").unwrap();
     let handle = serve(
-        Master::Durable(durable),
+        durable,
         "127.0.0.1:0",
         ServeConfig::default(),
+        PoolConfig::default(),
     )
     .unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
@@ -503,13 +512,30 @@ fn a_hostile_replicated_batch_degrades_with_a_typed_error_and_the_connection_sta
         Response::Hits { .. }
     ));
 
-    // A replicated merge of ids the follower never allocated.
+    // A valid new object, then a replicated merge of ids the follower
+    // never allocated.
+    let add = serde_json::to_string(&StoreEvent::AddObject { class: person }).unwrap();
     let merge = r#"{"Merge":{"winner":900001,"loser":900002}}"#.to_string();
     let err = handle
         .replication_sink()
-        .apply("default", head, vec![merge])
+        .apply("default", head, vec![add, merge])
         .unwrap_err();
     assert!(err.contains("unknown object"), "{err}");
+
+    // The applied prefix is published under its own epoch: a changed state
+    // never reuses the epoch of the state before it.
+    assert_eq!(handle.epoch_of("default"), Some(head + 1));
+    match client.request(&Request::Stats).unwrap() {
+        Response::Stats {
+            epoch,
+            objects: now,
+            ..
+        } => {
+            assert_eq!(epoch, head + 1);
+            assert_eq!(now, objects + 1);
+        }
+        other => panic!("unexpected response: {other:?}"),
+    }
 
     // The connection opened before still answers reads, and the space has
     // degraded to read-only.

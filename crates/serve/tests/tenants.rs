@@ -218,8 +218,6 @@ fn client_retries_shed_writes_until_they_land() {
         "127.0.0.1:0",
         ServeConfig {
             writer_threads: 1,
-            write_queue: 1,
-            max_batch: 1,
             ..ServeConfig::default()
         },
         PoolConfig {

@@ -3,21 +3,21 @@
 //!
 //! The servicing writer is the only publisher. After applying a write batch
 //! it clones the master's state into a [`Snapshot`](semex_core::Snapshot),
-//! tags it with the next epoch number, and swaps it in behind an `Arc`.
+//! tags it with its epoch, and swaps it in behind an `Arc`.
 //! Reader threads grab the current `Arc` under a briefly-held read lock and
 //! then query entirely lock-free: a reader holding epoch N keeps a
 //! consistent view of the whole platform (store *and* index) no matter how
 //! many batches publish behind it, and two reads through the same grabbed
 //! `Arc` can never observe different states — there is no torn epoch.
 //!
-//! Epochs are **event-sequence numbers**: each publication advances the
-//! epoch by the number of store events the batch committed, so on a
-//! journal-backed tenant the epoch always equals the journal's durable
+//! Epochs are **event-sequence numbers**: a published snapshot's epoch is
+//! its store's event head, so it is derived from the state, never tallied
+//! beside it. On a journal-backed tenant the head is the journal's durable
 //! sequence. That makes epochs survive eviction — a tenant recovered from
-//! its journal reboots at exactly the epoch it was evicted at (see
-//! [`SnapshotEngine::with_epoch`]), which is what lets the
-//! eviction-equivalence suite demand byte-identical *epochs*, not just
-//! results.
+//! its journal reboots at exactly the epoch it was evicted at — which is
+//! what lets the eviction-equivalence suite demand byte-identical *epochs*,
+//! not just results. Every store mutation advances the head, so two
+//! different states are never published under one epoch.
 
 use semex_core::Snapshot;
 use std::sync::{Arc, RwLock};
@@ -26,11 +26,19 @@ use std::sync::{Arc, RwLock};
 /// with the epoch counter that identifies it on the wire.
 #[derive(Debug)]
 pub struct EpochSnapshot {
-    /// Monotonic publication number (the boot state carries the durable
-    /// event sequence recovered from the journal; 0 for a fresh space).
+    /// The state's store event head: monotonic across publications, and
+    /// the durable event sequence on a journal-backed tenant.
     pub epoch: u64,
     /// The state itself.
     pub snap: Snapshot,
+}
+
+impl EpochSnapshot {
+    /// Tag a state with its epoch.
+    fn of(snap: Snapshot) -> EpochSnapshot {
+        let epoch = snap.store().event_head();
+        EpochSnapshot { epoch, snap }
+    }
 }
 
 /// Publishes [`EpochSnapshot`]s by atomic `Arc` swap.
@@ -45,20 +53,10 @@ pub struct SnapshotEngine {
 }
 
 impl SnapshotEngine {
-    /// Boot the engine with the initial state as epoch 0.
+    /// Boot the engine with the initial state, at its epoch.
     pub fn new(initial: Snapshot) -> SnapshotEngine {
-        SnapshotEngine::with_epoch(initial, 0)
-    }
-
-    /// Boot the engine at an explicit epoch — the tenant activation path
-    /// seeds it with the journal's recovered event sequence so epochs are
-    /// continuous across evict/reactivate cycles.
-    pub fn with_epoch(initial: Snapshot, epoch: u64) -> SnapshotEngine {
         SnapshotEngine {
-            current: RwLock::new(Arc::new(EpochSnapshot {
-                epoch,
-                snap: initial,
-            })),
+            current: RwLock::new(Arc::new(EpochSnapshot::of(initial))),
         }
     }
 
@@ -73,21 +71,15 @@ impl SnapshotEngine {
         self.current.read().expect("snapshot lock poisoned").epoch
     }
 
-    /// Swap in a new state one epoch ahead, returning the new epoch.
-    /// In-flight readers keep their old epoch alive until they drop it.
+    /// Swap in a new state, returning its epoch. In-flight readers keep
+    /// their old epoch alive until they drop it. Publishing an unchanged
+    /// state republishes the same epoch.
     pub fn publish(&self, snap: Snapshot) -> u64 {
-        self.publish_advance(snap, 1)
-    }
-
-    /// Swap in a new state, advancing the epoch by `by` (the number of
-    /// events the batch committed). `by == 0` republishes under the same
-    /// epoch — legal only when the state did not change (zero events means
-    /// zero store mutations), so readers still never see two states under
-    /// one epoch.
-    pub fn publish_advance(&self, snap: Snapshot, by: u64) -> u64 {
+        let next = EpochSnapshot::of(snap);
+        let epoch = next.epoch;
         let mut current = self.current.write().expect("snapshot lock poisoned");
-        let epoch = current.epoch + by;
-        *current = Arc::new(EpochSnapshot { epoch, snap });
+        debug_assert!(epoch >= current.epoch, "epochs never regress");
+        *current = Arc::new(next);
         epoch
     }
 }
@@ -95,33 +87,33 @@ impl SnapshotEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use semex_core::SemexBuilder;
+    use semex_core::{SemexBuilder, SourceSpec};
 
     #[test]
-    fn epochs_are_monotonic_and_isolated() {
-        let semex = SemexBuilder::new()
+    fn epochs_follow_the_event_head_and_are_isolated() {
+        let mut semex = SemexBuilder::new()
             .add_mbox("inbox", "From: a@b.c\nSubject: first\n\nhello")
             .build()
             .unwrap();
         let engine = SnapshotEngine::new(semex.snapshot());
         assert_eq!(engine.epoch(), 0);
         let held = engine.load();
-        assert_eq!(engine.publish(semex.snapshot()), 1);
-        assert_eq!(engine.publish(semex.snapshot()), 2);
+        semex
+            .ingest(SourceSpec::Mbox {
+                name: "more".into(),
+                content: "From: d@e.f\nSubject: second\n\nhello".into(),
+            })
+            .unwrap();
+        let head = semex.store().event_head();
+        assert!(head > 0);
+        assert_eq!(engine.publish(semex.snapshot()), head);
+        // An unchanged state republishes under the same epoch.
+        assert_eq!(engine.publish(semex.snapshot()), head);
         // The reader that grabbed epoch 0 still sees epoch 0.
         assert_eq!(held.epoch, 0);
-        assert_eq!(engine.load().epoch, 2);
-    }
-
-    #[test]
-    fn seeded_boot_and_event_count_advance() {
-        let semex = SemexBuilder::new()
-            .add_mbox("inbox", "From: a@b.c\nSubject: first\n\nhello")
-            .build()
-            .unwrap();
-        let engine = SnapshotEngine::with_epoch(semex.snapshot(), 41);
-        assert_eq!(engine.epoch(), 41);
-        assert_eq!(engine.publish_advance(semex.snapshot(), 9), 50);
-        assert_eq!(engine.publish_advance(semex.snapshot(), 0), 50);
+        assert!(held.snap.search("second", 5).is_empty());
+        let now = engine.load();
+        assert_eq!(now.epoch, now.snap.store().event_head());
+        assert_eq!(now.snap.search("second", 5).len(), 1);
     }
 }

@@ -7,8 +7,8 @@
 //!
 //! - [`TenantId`] / [`TenantRegistry`] — validated ids mapped to
 //!   directory-per-space journal layouts under one root.
-//! - [`Master`] / [`SnapshotEngine`] — the single mutable copy of a
-//!   tenant's platform and the epoch-tagged snapshots its readers see.
+//! - [`SnapshotEngine`] — the epoch-tagged snapshots a tenant's readers
+//!   see, published from the single mutable copy of its platform.
 //! - [`TenantPool`] — the heart of the subsystem: LRU activation and
 //!   eviction under a resident-memory budget, cold recovery from the
 //!   journal on first touch, per-tenant bounded write queues drained by a
@@ -23,13 +23,11 @@
 
 mod engine;
 mod id;
-mod master;
 mod pool;
 mod registry;
 
 pub use engine::{EpochSnapshot, SnapshotEngine};
 pub use id::TenantId;
-pub use master::Master;
 pub use pool::{
     resident_cost, EnqueueError, InflightPermit, PoolConfig, PoolFinal, PoolReport, PoolSnapshot,
     Tenant, TenantPool,

@@ -23,7 +23,6 @@
 
 use crate::engine::SnapshotEngine;
 use crate::id::TenantId;
-use crate::master::Master;
 use crate::registry::TenantRegistry;
 use crate::TenantError;
 use semex_cache::{CacheConfig, ReadCache};
@@ -133,7 +132,7 @@ struct JobQueue<J> {
 pub struct Tenant<J> {
     id: TenantId,
     engine: SnapshotEngine,
-    master: Mutex<Option<Master>>,
+    master: Mutex<Option<Semex>>,
     queue: Mutex<JobQueue<J>>,
     inflight: AtomicUsize,
     cost: AtomicUsize,
@@ -153,10 +152,10 @@ impl<J> fmt::Debug for Tenant<J> {
 }
 
 impl<J> Tenant<J> {
-    fn new(id: TenantId, mut master: Master, pinned: bool) -> Tenant<J> {
-        master.semex_mut().set_index_batching(true);
-        let engine = SnapshotEngine::with_epoch(master.snapshot(), master.boot_epoch());
-        let cost = resident_cost(master.semex());
+    fn new(id: TenantId, mut master: Semex, pinned: bool) -> Tenant<J> {
+        master.set_index_batching(true);
+        let engine = SnapshotEngine::new(master.snapshot());
+        let cost = resident_cost(&master);
         Tenant {
             id,
             engine,
@@ -307,7 +306,7 @@ pub struct PoolFinal<J> {
     /// before draining); the caller owes each a typed rejection.
     pub leftovers: Vec<(TenantId, Vec<J>)>,
     /// The pinned master of a [`TenantPool::single`] pool, journal sealed.
-    pub pinned: Option<Master>,
+    pub pinned: Option<Semex>,
     /// The highest tenant epoch at finalize (the pinned tenant's, for a
     /// single-tenant pool).
     pub final_epoch: u64,
@@ -383,7 +382,7 @@ impl<J> TenantPool<J> {
     /// [`TenantPool::finalize`]. Requests naming any other tenant get
     /// [`TenantError::Unknown`]. This is how the pre-tenancy serving API is
     /// expressed on top of the pool.
-    pub fn single(master: Master, config: PoolConfig) -> TenantPool<J> {
+    pub fn single(master: Semex, config: PoolConfig) -> TenantPool<J> {
         let pool = TenantPool::with_parts(None, config);
         let tenant = Arc::new(Tenant::new(TenantId::default_tenant(), master, true));
         {
@@ -504,7 +503,7 @@ impl<J> TenantPool<J> {
             ),
         };
         let (durable, _recovery) = opened.map_err(TenantError::Journal)?;
-        let tenant = Arc::new(Tenant::new(id.clone(), Master::Durable(durable), false));
+        let tenant = Arc::new(Tenant::new(id.clone(), durable, false));
         self.stats.cold_opens.fetch_add(1, Ordering::Relaxed);
         self.stats
             .cold_open_us
@@ -572,10 +571,8 @@ impl<J> TenantPool<J> {
     fn drain_evicted(&self, tenant: &Tenant<J>) {
         let mut guard = tenant.master.lock().expect("master lock poisoned");
         if let Some(master) = guard.as_mut() {
-            if let Ok(n) = master.commit() {
-                if n > 0 {
-                    tenant.engine.publish_advance(master.snapshot(), n as u64);
-                }
+            if master.commit().is_ok_and(|n| n > 0) {
+                tenant.engine.publish(master.snapshot());
             }
         }
         *guard = None;
@@ -655,13 +652,13 @@ impl<J> TenantPool<J> {
 
     /// Service one dispatched tenant: drain up to [`PoolConfig::max_batch`]
     /// queued jobs and hand them — with exclusive access to the tenant's
-    /// [`Master`] and its [`SnapshotEngine`] — to `f`. Afterwards the
+    /// master [`Semex`] and its [`SnapshotEngine`] — to `f`. Afterwards the
     /// tenant's cost accounting is refreshed, the tenant is re-dispatched
     /// if more jobs arrived meanwhile, and the pool is re-fit to its
     /// budget.
     pub fn service<F>(&self, tenant: &Arc<Tenant<J>>, f: F)
     where
-        F: FnOnce(&mut Master, &SnapshotEngine, Vec<J>),
+        F: FnOnce(&mut Semex, &SnapshotEngine, Vec<J>),
     {
         let mut guard = tenant.master.lock().expect("master lock poisoned");
         let batch: Vec<J> = {
@@ -673,7 +670,7 @@ impl<J> TenantPool<J> {
             if !batch.is_empty() {
                 f(master, &tenant.engine, batch);
             }
-            let cost = resident_cost(master.semex());
+            let cost = resident_cost(master);
             self.update_cost(tenant, cost);
         }
         drop(guard);
@@ -810,7 +807,7 @@ impl<J> TenantPool<J> {
             if let Some(mut master) = guard.take() {
                 // Leaving batching mode is an implicit final flush; the
                 // commit seals the journal at exactly the acked state.
-                master.semex_mut().set_index_batching(false);
+                master.set_index_batching(false);
                 let _ = master.commit();
                 final_epoch = final_epoch.max(tenant.engine.epoch());
                 if tenant.pinned {
@@ -862,18 +859,17 @@ mod tests {
         let mut guard = tenant.master.lock().unwrap();
         let master = guard.as_mut().unwrap();
         master
-            .semex_mut()
             .ingest(SourceSpec::Mbox {
                 name: "inbox".into(),
                 content: format!("From: {token}@example.com\nSubject: {token}\n\nbody"),
             })
             .unwrap();
-        let n = master.commit().unwrap();
-        tenant.engine.publish_advance(master.snapshot(), n as u64);
+        master.commit().unwrap();
+        tenant.engine.publish(master.snapshot());
         drop(guard);
         pool.update_cost(
             &tenant,
-            resident_cost(tenant.master.lock().unwrap().as_ref().unwrap().semex()),
+            resident_cost(tenant.master.lock().unwrap().as_ref().unwrap()),
         );
     }
 
@@ -946,8 +942,7 @@ mod tests {
             .add_mbox("inbox", "From: a@b.c\nSubject: pinned\n\nhello")
             .build()
             .unwrap();
-        let pool: TenantPool<()> =
-            TenantPool::single(Master::Ephemeral(semex), PoolConfig::default());
+        let pool: TenantPool<()> = TenantPool::single(semex, PoolConfig::default());
         let tenant = pool.activate(TenantId::DEFAULT).unwrap();
         assert_eq!(tenant.engine().load().snap.search("pinned", 3).len(), 1);
         assert!(matches!(

@@ -102,4 +102,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo bench --no-run (benches must keep compiling)"
 cargo bench --workspace --no-run
 
+echo "==> perfbench compiles against the working tree (cargo check --offline of"
+echo "    a copy under target/: building perfbench in place rewrites its"
+echo "    lockfile, and no file under perfbench/ may change)"
+bench_tree=target/perfbench-check/tree
+rm -rf "$bench_tree"
+mkdir -p "$bench_tree/perfbench"
+cp -a Cargo.toml crates third_party "$bench_tree"/
+cp -a perfbench/Cargo.toml perfbench/Cargo.lock perfbench/src "$bench_tree/perfbench"/
+cargo check --offline --quiet --manifest-path "$bench_tree/perfbench/Cargo.toml" \
+    --target-dir target/perfbench-check/target
+
 echo "==> OK"

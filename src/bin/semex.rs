@@ -104,7 +104,7 @@ fn load(path: &str) -> Result<Semex, String> {
         let (durable, report) = Semex::open_durable(p, SemexConfig::default())
             .map_err(|e| format!("cannot open journal {path}: {e}"))?;
         print_recovery(&report);
-        Ok(durable.into_inner())
+        Ok(durable)
     } else {
         Semex::load(p, SemexConfig::default())
             .map_err(|e| format!("cannot load snapshot {path}: {e}"))
@@ -173,7 +173,7 @@ fn persist(semex: Semex, out: &Path, durable: bool) -> Result<(), String> {
         println!(
             "journal initialized at {} (epoch {})",
             out.display(),
-            d.journal().epoch()
+            d.journal().map(|j| j.epoch()).unwrap_or_default()
         );
     } else {
         semex.save(out).map_err(|e| e.to_string())?;
@@ -622,7 +622,7 @@ fn cmd_communities(args: &[String]) -> Result<(), String> {
 /// each is a journal directory under the registry root, activated on
 /// demand and evicted LRU under `--budget-mb`.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    use semex::serve::{serve, serve_tenants, Master, PoolConfig, ServeConfig, TenantRegistry};
+    use semex::serve::{serve, serve_tenants, PoolConfig, ServeConfig, TenantRegistry};
     let mut config = ServeConfig::default();
     let mut pool = PoolConfig::default();
     let mut addr = "127.0.0.1:7019".to_string();
@@ -689,13 +689,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                     .ok_or("--budget-mb needs a positive number of MiB")?;
             }
             "--cache-mb" => {
-                let budget = it
+                pool.cache_budget = it
                     .next()
                     .and_then(|s| s.parse::<usize>().ok())
                     .map(|n| n << 20)
                     .ok_or("--cache-mb needs a number of MiB (0 disables)")?;
-                config.cache_budget = budget;
-                pool.cache_budget = budget;
             }
             other if other.starts_with("--") => {
                 return Err(format!("unknown serve flag {other:?}"));
@@ -737,7 +735,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             p,
             addr.as_str(),
             config,
-            JournalConfig::default(),
+            pool,
             max_lag,
             name.clone(),
         )?;
@@ -783,18 +781,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             return Err("serve requires a snapshot path, journal directory, or --tenants".into());
         };
         let p = Path::new(path);
-        let master = if p.is_dir() {
-            let (durable, report) = Semex::open_durable(p, SemexConfig::default())
-                .map_err(|e| format!("cannot open journal {path}: {e}"))?;
-            print_recovery(&report);
-            Master::Durable(durable)
-        } else {
-            Master::Ephemeral(
-                Semex::load(p, SemexConfig::default())
-                    .map_err(|e| format!("cannot load snapshot {path}: {e}"))?,
-            )
-        };
-        let durable = matches!(master, Master::Durable(_));
+        let master = load(path)?;
+        let durable = master.journal().is_some();
         // A replicating primary: the hub ships the journal straight from
         // disk and gates every client ack on the connected follower set,
         // so it must be wired into the config before the writers start.
@@ -808,7 +796,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             }
             let hub = semex::replica::replicate(
                 p,
-                master.boot_epoch(),
+                master.store().event_head(),
                 listen.as_str(),
                 &mut config,
                 semex::replica::HubConfig::default(),
@@ -823,8 +811,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         } else {
             None
         };
-        let objects = master.semex().store().object_count();
-        let mut handle = serve(master, addr.as_str(), config).map_err(|e| e.to_string())?;
+        let objects = master.store().object_count();
+        let mut handle = serve(master, addr.as_str(), config, pool).map_err(|e| e.to_string())?;
         println!(
             "serving {objects} objects on {} ({}) — stop with: semex client {} shutdown",
             handle.addr(),

@@ -99,7 +99,7 @@ fn durable_space_matches_its_in_memory_twin() {
     // The oracle: the same build, never persisted.
     let mut oracle = built();
     let d = built().into_durable(&dir, config()).unwrap();
-    assert_eq!(d.journal().epoch(), 0);
+    assert_eq!(d.journal().unwrap().epoch(), 0);
     assert_equiv(&d, &oracle, "after init");
     assert_eq!(
         sidecar_files(&dir),
@@ -132,7 +132,7 @@ fn durable_space_matches_its_in_memory_twin() {
     // Compaction advances the epoch and re-stamps the sidecar.
     let c = d.compact().unwrap();
     assert_eq!(c.epoch, 1);
-    assert_eq!(d.journal().epoch(), 1);
+    assert_eq!(d.journal().unwrap().epoch(), 1);
     assert_equiv(&d, &oracle, "after compaction");
     assert_eq!(
         sidecar_files(&dir),

@@ -172,7 +172,7 @@ fn run(seed: u64) -> u64 {
     let mut batched = open(&dirs[1]);
     batched.set_index_batching(true);
     let mut follower = open(&dirs[2]);
-    let base = plain.journal().next_seq();
+    let base = plain.journal().unwrap().next_seq();
     let last = held.pop().expect("one record is kept for the final ingest");
     let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let person = plain.store().model().class("Person").unwrap();
@@ -206,18 +206,20 @@ fn run(seed: u64) -> u64 {
         }
         // Ship exactly what the commit journals to the follower, which
         // commits after each batch as a serving writer does.
-        let batch = plain
-            .store()
-            .events_since(plain.journal().next_seq())
-            .to_vec();
+        let start = plain.journal().unwrap().next_seq();
+        let batch = plain.store().events_since(start).to_vec();
         assert_eq!(plain.commit().unwrap(), batch.len());
-        let head = follower.apply_replicated(&batch).unwrap();
+        let head = follower.apply_replicated(start, &batch).unwrap();
         assert_eq!(
             follower.commit().unwrap(),
             0,
             "a replicated batch is journaled once"
         );
-        assert_eq!(head, plain.journal().next_seq(), "seed {seed} step {step}");
+        assert_eq!(
+            head,
+            plain.journal().unwrap().next_seq(),
+            "seed {seed} step {step}"
+        );
         if step == steps / 2 {
             plain.compact().unwrap();
         }
@@ -226,7 +228,10 @@ fn run(seed: u64) -> u64 {
         }
     }
     batched.commit().unwrap();
-    assert_eq!(batched.journal().next_seq(), plain.journal().next_seq());
+    assert_eq!(
+        batched.journal().unwrap().next_seq(),
+        plain.journal().unwrap().next_seq()
+    );
     assert_recon_current(&plain, "plain");
     assert_recon_current(&batched, "batched");
 
@@ -266,7 +271,7 @@ fn run(seed: u64) -> u64 {
         partitions.iter().all(|p| *p == partitions[0]),
         "seed {seed}"
     );
-    let written = spaces[0].journal().next_seq() - base;
+    let written = spaces[0].journal().unwrap().next_seq() - base;
     drop(spaces);
     for dir in &dirs {
         std::fs::remove_dir_all(dir).ok();
@@ -309,7 +314,8 @@ fn a_replicated_batch_failing_part_way_publishes_its_prefix() {
         },
         StoreEvent::AddObject { class: person },
     ];
-    let err = follower.apply_replicated(&batch).unwrap_err();
+    let start = follower.journal().unwrap().next_seq();
+    let err = follower.apply_replicated(start, &batch).unwrap_err();
     assert!(err.to_string().contains("unknown object"), "{err}");
     assert!(follower.degraded().is_some());
     assert_eq!(follower.store().slot_count(), fresh.index() + 1);
@@ -323,14 +329,14 @@ fn a_replicated_batch_failing_part_way_publishes_its_prefix() {
     // Its journal holds the whole batch, its store only the prefix: no
     // journal reopen reconciles the two, so the follower stays degraded
     // rather than journal later writes behind the batch.
-    let head = follower.journal().next_seq();
+    let head = follower.journal().unwrap().next_seq();
     let err = follower.try_recover_journal().unwrap_err();
     assert!(
         err.to_string().contains("part of a journaled batch"),
         "{err}"
     );
     assert!(follower.degraded().is_some());
-    assert_eq!(follower.journal().next_seq(), head);
+    assert_eq!(follower.journal().unwrap().next_seq(), head);
     assert!(follower.ingest(held[1].clone()).is_err());
     drop(follower);
     std::fs::remove_dir_all(&dir).ok();
