@@ -21,12 +21,16 @@
 //! The same three families are also swept over the first compaction of a
 //! legacy JSON-snapshot space, the step that turns it binary: whichever
 //! epoch survives, recovery must yield the pre-compaction state.
+//!
+//! Both crash sweeps are run once more with the replication exporter as an
+//! oracle: what a fresh follower would be shipped from the crashed
+//! directory must be exactly what recovery then opens.
 
 mod common;
 
 use semex_journal::{
-    recover_with_io, FaultIo, FaultPlan, Journal, JournalConfig, JournalError, JournalIo, RealIo,
-    RecoveryReport,
+    export_bootstrap, recover_with_io, FaultIo, FaultPlan, Journal, JournalConfig, JournalError,
+    JournalIo, RealIo, RecoveryReport,
 };
 use semex_model::names::{assoc, attr, class};
 use semex_model::Value;
@@ -498,6 +502,99 @@ fn sweep_disk_full_during_migration_converges_after_space_clears() {
     }
     println!("fault sweep [migration disk-full]: {total_ops} ops swept, {survived} converged");
     assert_eq!(survived, total_ops);
+}
+
+// ------------------------------------------ export equals recovery --
+
+/// Export `dir` for a follower that holds nothing, then recover it, and
+/// assert the two readers agree: the shipped snapshot with every shipped
+/// batch applied is byte-identical to the recovered store, and the
+/// export's head is the recovered journal's next sequence number.
+///
+/// Every damage kind recovery repairs is covered except
+/// [`DamageKind::Apply`](semex_journal::DamageKind::Apply), which is
+/// excluded by design: only recovery applies events, so only recovery can
+/// find a sealed batch that does not apply (and these workloads' batches
+/// always do). Returns false when there was no journal to export.
+fn assert_export_equals_recovery(dir: &Path, io: &FaultIo, what: &str) -> bool {
+    let io: Arc<dyn JournalIo> = Arc::new(io.clone());
+    let exported = export_bootstrap(dir, io.as_ref());
+    let (store, journal, rep) =
+        recover_with_io(dir, cfg(), io).unwrap_or_else(|e| panic!("{what}: recovery failed: {e}"));
+    let tail = match exported {
+        Ok(tail) => tail,
+        // No snapshot landed before the crash: there is nothing to export,
+        // and recovery initializes a fresh journal.
+        Err(e) => {
+            assert!(
+                rep.initialized,
+                "{what}: export failed ({e}) but recovery found a journal: {rep:?}"
+            );
+            return false;
+        }
+    };
+    let (base_seq, mut replica) = tail
+        .snapshot
+        .unwrap_or_else(|| panic!("{what}: a bootstrap export ships its snapshot"));
+    assert_eq!(base_seq, rep.base_seq, "{what}: {rep:?}");
+    for batch in &tail.batches {
+        for event in &batch.events {
+            replica
+                .apply_event(event)
+                .unwrap_or_else(|e| panic!("{what}: exported event did not apply: {e}"));
+        }
+    }
+    assert!(
+        replica.to_binary().unwrap() == store.to_binary().unwrap(),
+        "{what}: exported state differs from the recovered one (report {rep:?})"
+    );
+    assert_eq!(tail.head, journal.next_seq(), "{what}: {rep:?}");
+    true
+}
+
+#[test]
+fn sweep_crash_at_every_op_exports_what_recovery_opens() {
+    let (total_ops, _) = fault_free_op_count();
+    let mut compared = 0u64;
+    for at in 0..total_ops {
+        let dir = scratch("export-crash");
+        let io = FaultIo::new(FaultPlan::Crash { at });
+        run_workload(&dir, Arc::new(io.clone()), false);
+        io.clear_faults();
+        compared += u64::from(assert_export_equals_recovery(
+            &dir,
+            &io,
+            &format!("crash at op {at}"),
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    println!(
+        "fault sweep [export = recovery, crash]: {total_ops} ops swept, {compared} exports \
+         compared"
+    );
+    // Only a crash inside the very first open leaves no snapshot behind.
+    assert!(
+        compared * 2 > total_ops,
+        "too few crash points left a journal"
+    );
+}
+
+#[test]
+fn sweep_crash_during_migration_exports_what_recovery_opens() {
+    let total_ops = migration_op_count();
+    for at in 0..total_ops {
+        let dir = legacy_space("export-migrate");
+        let io = FaultIo::new(FaultPlan::Crash { at });
+        migrate(&dir, &(Arc::new(io.clone()) as _), false);
+        io.clear_faults();
+        let what = format!("crash at migration op {at}");
+        assert!(
+            assert_export_equals_recovery(&dir, &io, &what),
+            "{what}: a legacy space always has a journal to export"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    println!("fault sweep [export = recovery, migration crash]: {total_ops} ops swept");
 }
 
 // ------------------------------------------------- retry & wedge units --
