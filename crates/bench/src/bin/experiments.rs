@@ -1924,18 +1924,16 @@ fn e15_snapshot(smoke: bool) {
             .into_durable(&dir, journal.clone())
             .expect("seed journal dir");
 
-        // On-disk footprint: snapshot plus the index sidecar.
-        let disk_bytes: u64 = std::fs::read_dir(&dir)
-            .expect("journal dir")
-            .filter_map(|e| e.ok())
-            .filter(|e| {
-                let name = e.file_name();
-                let name = name.to_str().unwrap_or("");
-                name.contains("snapshot-") || name.ends_with(".idx")
-            })
-            .filter_map(|e| e.metadata().ok())
-            .map(|m| m.len())
-            .sum();
+        // On-disk footprint: the fresh journal's snapshot plus its index
+        // sidecar.
+        let disk_bytes: u64 = [
+            semex_journal::segment::snapshot_file_name(0),
+            semex_journal::segment::index_file_name(0),
+        ]
+        .iter()
+        .filter_map(|name| std::fs::metadata(dir.join(name)).ok())
+        .map(|m| m.len())
+        .sum();
 
         let mut opens_ms = Vec::with_capacity(iterations);
         let mut peaks = Vec::with_capacity(iterations);

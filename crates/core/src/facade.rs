@@ -454,42 +454,12 @@ impl Semex {
         spec: crate::SourceSpec,
     ) -> Result<semex_extract::ExtractStats, crate::SemexError> {
         self.check_writable()?;
-        use semex_extract::{
-            bibtex::extract_bibtex, email::extract_mbox, fswalk::extract_tree, ical::extract_ical,
-            latex::extract_latex, vcard::extract_vcards, ExtractContext,
-        };
-        let name = match &spec {
-            crate::SourceSpec::Mbox { name, .. }
-            | crate::SourceSpec::Vcard { name, .. }
-            | crate::SourceSpec::Bibtex { name, .. }
-            | crate::SourceSpec::Latex { name, .. }
-            | crate::SourceSpec::Ical { name, .. }
-            | crate::SourceSpec::Directory { name, .. } => name.clone(),
-        };
-        let kind = match &spec {
-            crate::SourceSpec::Mbox { .. } => semex_store::SourceKind::Email,
-            crate::SourceSpec::Vcard { .. } => semex_store::SourceKind::Contacts,
-            crate::SourceSpec::Bibtex { .. } => semex_store::SourceKind::Bibliography,
-            crate::SourceSpec::Latex { .. } => semex_store::SourceKind::Latex,
-            crate::SourceSpec::Ical { .. } => semex_store::SourceKind::Calendar,
-            crate::SourceSpec::Directory { .. } => semex_store::SourceKind::FileSystem,
-        };
         let store = &mut self.state.store;
-        let sid = store.register_source(semex_store::SourceInfo::new(&name, kind));
+        let sid = store.register_source(semex_store::SourceInfo::new(spec.name(), spec.kind()));
         let first_new_slot = store.slot_count() as u64;
-        let mut ctx = ExtractContext::new(store, sid);
-        let result = match &spec {
-            crate::SourceSpec::Mbox { content, .. } => extract_mbox(content, &mut ctx),
-            crate::SourceSpec::Vcard { content, .. } => extract_vcards(content, &mut ctx),
-            crate::SourceSpec::Bibtex { content, .. } => extract_bibtex(content, &mut ctx),
-            crate::SourceSpec::Latex { content, .. } => {
-                extract_latex(content, &mut ctx).map(|(s, _)| s)
-            }
-            crate::SourceSpec::Ical { content, .. } => extract_ical(content, &mut ctx),
-            crate::SourceSpec::Directory { root, .. } => extract_tree(root, &mut ctx),
-        };
+        let result = spec.extract(&mut semex_extract::ExtractContext::new(store, sid));
         let stats = result.map_err(|error| crate::SemexError::Extract {
-            source: name,
+            source: spec.name().to_owned(),
             error,
         })?;
         if !self.config.skip_recon {

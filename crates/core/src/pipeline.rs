@@ -83,7 +83,7 @@ pub enum SourceSpec {
 }
 
 impl SourceSpec {
-    fn kind(&self) -> SourceKind {
+    pub(crate) fn kind(&self) -> SourceKind {
         match self {
             SourceSpec::Mbox { .. } => SourceKind::Email,
             SourceSpec::Vcard { .. } => SourceKind::Contacts,
@@ -94,7 +94,7 @@ impl SourceSpec {
         }
     }
 
-    fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         match self {
             SourceSpec::Mbox { name, .. }
             | SourceSpec::Vcard { name, .. }
@@ -102,6 +102,21 @@ impl SourceSpec {
             | SourceSpec::Latex { name, .. }
             | SourceSpec::Ical { name, .. }
             | SourceSpec::Directory { name, .. } => name,
+        }
+    }
+
+    /// Run this source's extractor into `ctx`.
+    pub(crate) fn extract(
+        &self,
+        ctx: &mut ExtractContext<'_>,
+    ) -> Result<ExtractStats, ExtractError> {
+        match self {
+            SourceSpec::Mbox { content, .. } => extract_mbox(content, ctx),
+            SourceSpec::Vcard { content, .. } => extract_vcards(content, ctx),
+            SourceSpec::Bibtex { content, .. } => extract_bibtex(content, ctx),
+            SourceSpec::Latex { content, .. } => extract_latex(content, ctx).map(|(s, _)| s),
+            SourceSpec::Ical { content, .. } => extract_ical(content, ctx),
+            SourceSpec::Directory { root, .. } => extract_tree(root, ctx),
         }
     }
 
@@ -305,17 +320,7 @@ impl SemexBuilder {
             for (sid, spec) in registered {
                 let ctx = ctx_opt.as_mut().expect("context exists when sources do");
                 ctx.set_source(sid);
-                let result = match &spec {
-                    SourceSpec::Mbox { content, .. } => extract_mbox(content, ctx),
-                    SourceSpec::Vcard { content, .. } => extract_vcards(content, ctx),
-                    SourceSpec::Bibtex { content, .. } => extract_bibtex(content, ctx),
-                    SourceSpec::Latex { content, .. } => {
-                        extract_latex(content, ctx).map(|(s, _)| s)
-                    }
-                    SourceSpec::Ical { content, .. } => extract_ical(content, ctx),
-                    SourceSpec::Directory { root, .. } => extract_tree(root, ctx),
-                };
-                match result {
+                match spec.extract(ctx) {
                     Ok(stats) => extraction.push((spec.name().to_owned(), stats)),
                     Err(error) => {
                         return Err(SemexError::Extract {

@@ -2,11 +2,14 @@
 //!
 //! The journal is already a physical replication log: every committed
 //! batch is a run of framed records sealed by a commit marker, and the
-//! global sequence number is the replication epoch. This module parses a
-//! journal directory into shippable units without taking ownership of it
-//! and without repairing anything — the primary's own recovery path owns
-//! repair; an exporter racing a crash simply stops at the first unsealed
-//! or damaged byte and ships the durable prefix.
+//! global sequence number is the replication epoch. This module reads a
+//! journal directory into shippable units with the crate's one directory
+//! reader — the inventory, snapshot pick and sealed-batch scan recovery
+//! uses — but without taking ownership of it and without repairing
+//! anything: the primary's own recovery path owns repair, and an exporter
+//! racing a crash simply stops at the first unsealed or damaged byte and
+//! ships the durable prefix. Where recovery applies a sealed batch, export
+//! keeps it.
 //!
 //! Three pieces live here:
 //!
@@ -23,11 +26,8 @@
 //!   so exporting never perturbs fault-injection op counts.
 
 use crate::io::{JournalIo, RealIo};
-use crate::journal::{inventory, read_snapshot, write_snapshot, Inventory, JournalError};
-use crate::record::{self, Decoded, COMMIT_MARKER};
-use crate::segment::{
-    parse_segment_name, parse_snapshot_name, segment_file_name, SegmentHeader, SEGMENT_HEADER_LEN,
-};
+use crate::journal::{write_snapshot, JournalError};
+use crate::reader::{inventory, pick_snapshot, scan, Picked};
 use semex_store::{Store, StoreEvent};
 use std::collections::HashMap;
 use std::path::Path;
@@ -100,108 +100,64 @@ fn export_inner(
     from_seq: u64,
     force_snapshot: bool,
 ) -> Result<JournalTail, JournalError> {
-    // Inventory, exactly like recovery — but nothing is cleaned up.
-    let Inventory {
-        snapshots,
-        segments,
-    } = inventory(io, dir)?;
-    let mut chosen = None;
-    for &(epoch, format) in &snapshots {
-        let path = dir.join(format.file_name(epoch));
-        match read_snapshot(io, &path, format) {
-            Ok((meta, store)) if meta.epoch == epoch => {
-                chosen = Some((epoch, meta.seq, store));
-                break;
-            }
-            // Damaged or mislabeled snapshots are the recovery path's
-            // problem; the exporter just tries the next candidate.
-            Ok(_) => continue,
-            Err(e) if e.is_transient() => return Err(e),
-            Err(_) => continue,
-        }
-    }
-    let Some((epoch, base_seq, store)) = chosen else {
+    // The same inventory, snapshot pick and scan as recovery, but passed-over
+    // snapshots stay where they are: repair is the owning journal's job.
+    let inv = inventory(io, dir)?;
+    let Some(Picked {
+        epoch,
+        base_seq,
+        store,
+        ..
+    }) = pick_snapshot(io, dir, &inv)?.0
+    else {
         return Err(JournalError::Invalid {
             dir: dir.to_path_buf(),
             reason: "no usable snapshot to export from".into(),
         });
     };
 
-    let snapshot = if force_snapshot || from_seq < base_seq {
-        Some((base_seq, store))
-    } else {
-        None
-    };
+    let snapshot = (force_snapshot || from_seq < base_seq).then_some((base_seq, store));
     // With a snapshot shipped, batches continue from its base; without
     // one, from the follower's requested position.
-    let effective_from = if snapshot.is_some() {
+    let from = if snapshot.is_some() {
         base_seq
     } else {
         from_seq
     };
 
-    let mut live: Vec<u64> = segments
-        .iter()
-        .filter(|(e, _)| *e == epoch)
-        .map(|(_, i)| *i)
-        .collect();
-    live.sort_unstable();
-
     let mut batches: Vec<ExportedBatch> = Vec::new();
-    let mut decoded_seq = base_seq;
-    let mut head = base_seq;
-    let mut pending: Vec<StoreEvent> = Vec::new();
-    'segments: for &index in &live {
-        let path = dir.join(segment_file_name(epoch, index));
-        let bytes = io.read(&path).map_err(|e| JournalError::io(&path, e))?;
-        match SegmentHeader::decode(&bytes) {
-            Some(h) if h.epoch == epoch && h.start_seq == decoded_seq => {}
-            // Bad header or a sequence gap: stop at the boundary, ship
-            // what is sealed so far.
-            _ => break 'segments,
-        }
-        let mut offset = SEGMENT_HEADER_LEN;
-        loop {
-            match record::decode(&bytes[offset..]) {
-                Decoded::End => break,
-                Decoded::Record { payload, consumed } => {
-                    offset += consumed;
-                    if payload == COMMIT_MARKER {
-                        let start_seq = decoded_seq - pending.len() as u64;
-                        let events = std::mem::take(&mut pending);
-                        head = decoded_seq;
-                        if start_seq >= effective_from {
-                            batches.push(ExportedBatch { start_seq, events });
-                        } else if start_seq + events.len() as u64 > effective_from {
-                            return Err(JournalError::Invalid {
-                                dir: dir.to_path_buf(),
-                                reason: format!(
-                                    "export position {effective_from} falls inside the sealed \
-                                     batch [{start_seq}, {}); follower and journal have diverged",
-                                    start_seq + events.len() as u64
-                                ),
-                            });
-                        }
-                    } else {
-                        match serde_json::from_slice::<StoreEvent>(payload) {
-                            Ok(event) => {
-                                pending.push(event);
-                                decoded_seq += 1;
-                            }
-                            Err(_) => break 'segments,
-                        }
-                    }
-                }
-                // Torn or corrupt tail: everything sealed before it ships.
-                _ => break 'segments,
+    let scan = scan(
+        io,
+        dir,
+        epoch,
+        base_seq,
+        &inv.segments(epoch),
+        |batch, _, _| {
+            if batch.start_seq >= from {
+                batches.push(batch);
+            } else if batch.end_seq() > from {
+                return Err(JournalError::Invalid {
+                    dir: dir.to_path_buf(),
+                    reason: format!(
+                        "export position {from} falls inside the sealed batch [{}, {}); \
+                         follower and journal have diverged",
+                        batch.start_seq,
+                        batch.end_seq()
+                    ),
+                });
             }
-        }
+            Ok(())
+        },
+    )?;
+    // Damage ends the export like the log's end does — everything sealed
+    // before it ships; only a divergence fails it.
+    if let Some(diverged) = scan.stopped {
+        return Err(diverged);
     }
-
     Ok(JournalTail {
         snapshot,
         batches,
-        head,
+        head: scan.head,
     })
 }
 
@@ -216,15 +172,13 @@ pub fn install_snapshot(dir: &Path, base_seq: u64, store: &Store) -> Result<(), 
     let io = RealIo;
     io.create_dir_all(dir)
         .map_err(|e| JournalError::io(dir, e))?;
-    for (name, _) in io.list_dir(dir).map_err(|e| JournalError::io(dir, e))? {
-        if parse_snapshot_name(&name).is_some() || parse_segment_name(&name).is_some() {
-            return Err(JournalError::Invalid {
-                dir: dir.to_path_buf(),
-                reason: format!(
-                    "refusing to install a bootstrap snapshot over existing journal file {name}"
-                ),
-            });
-        }
+    if let Some(name) = inventory(&io, dir)?.journal_file() {
+        return Err(JournalError::Invalid {
+            dir: dir.to_path_buf(),
+            reason: format!(
+                "refusing to install a bootstrap snapshot over existing journal file {name}"
+            ),
+        });
     }
     // Epoch 1 distinguishes a shipped image from a locally-initialized
     // epoch-0 journal; recovery simply picks the newest epoch.
@@ -262,7 +216,8 @@ pub fn write_ack_cursors(dir: &Path, cursors: &HashMap<String, u64>) -> std::io:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{recover, recover_or_adopt, FaultPlan, JournalConfig};
+    use crate::segment::parse_segment_name;
+    use crate::{record, recover, recover_or_adopt, FaultPlan, JournalConfig};
     use semex_model::names::{attr, class};
     use semex_model::Value;
 

@@ -18,10 +18,11 @@
 //! appends until [`Journal::reopen`] re-establishes a clean tail.
 
 use crate::io::{JournalFile, JournalIo, RealIo};
-use crate::record::{self, Decoded, COMMIT_MARKER};
+use crate::reader::{inventory, pick_snapshot, scan, FileKind, Picked};
+use crate::record::{self, COMMIT_MARKER};
 use crate::segment::{
-    index_file_name, parse_index_name, parse_segment_name, parse_snapshot_name, segment_file_name,
-    snapshot_file_name, SegmentHeader, SnapshotFormat, FORMAT_VERSION, SEGMENT_HEADER_LEN,
+    index_file_name, segment_file_name, snapshot_file_name, SegmentHeader, SnapshotFormat,
+    FORMAT_VERSION, SEGMENT_HEADER_LEN,
 };
 use semex_store::binary::crc32;
 use semex_store::{SnapshotError, Store, StoreEvent};
@@ -472,23 +473,6 @@ impl Journal {
         Ok((store, report))
     }
 
-    /// Sizes of the live journal files `(segment_count, segment_bytes)`.
-    pub fn segment_usage(&self) -> (usize, u64) {
-        let mut count = 0;
-        let mut bytes = 0;
-        if let Ok(entries) = self.io.list_dir(&self.dir) {
-            for (name, len) in entries {
-                if let Some((epoch, _)) = parse_segment_name(&name) {
-                    if epoch == self.epoch {
-                        count += 1;
-                        bytes += len;
-                    }
-                }
-            }
-        }
-        (count, bytes)
-    }
-
     /// One attempt at appending the payload batch plus its commit marker.
     /// On failure the journal's counters and files are NOT restored — the
     /// caller rolls back to its checkpoint.
@@ -630,28 +614,24 @@ impl Journal {
         Ok(())
     }
 
-    /// Delete snapshots and segments older than `keep_epoch`, plus stray
-    /// temporary files. Best-effort: failures are ignored (stale files are
-    /// ignored by recovery anyway).
+    /// Delete snapshots, segments and sidecars older than `keep_epoch`,
+    /// plus stray temporary files. Best-effort: failures are ignored (stale
+    /// files are ignored by recovery anyway).
     fn remove_stale_epochs(&self, keep_epoch: u64) -> (usize, u64) {
-        let mut removed = 0usize;
-        let mut bytes = 0u64;
-        let Ok(entries) = self.io.list_dir(&self.dir) else {
+        let Ok(inv) = inventory(self.io.as_ref(), &self.dir) else {
             return (0, 0);
         };
-        for (name, len) in entries {
-            let stale = if let Some((epoch, _)) = parse_snapshot_name(&name) {
-                epoch < keep_epoch
-            } else if let Some((epoch, _)) = parse_segment_name(&name) {
-                epoch < keep_epoch
-            } else if let Some(epoch) = parse_index_name(&name) {
-                epoch < keep_epoch
-            } else {
-                name.ends_with(".tmp")
-            };
-            if stale && self.io.remove_file(&self.dir.join(&name)).is_ok() {
+        let stale = inv.files.iter().filter(|file| match file.kind {
+            FileKind::Snapshot(e, _) | FileKind::Segment(e, _) | FileKind::Sidecar(e) => {
+                e < keep_epoch
+            }
+            FileKind::Temp => true,
+        });
+        let (mut removed, mut bytes) = (0, 0);
+        for file in stale {
+            if self.io.remove_file(&self.dir.join(&file.name)).is_ok() {
                 removed += 1;
-                bytes += len;
+                bytes += file.len;
             }
         }
         (removed, bytes)
@@ -841,16 +821,6 @@ pub(crate) fn read_snapshot(
     }
 }
 
-/// Whether a snapshot-read failure is *damage to the file itself* —
-/// eligible for falling back to the previous epoch — as opposed to a hard
-/// I/O error that would affect any file in the directory.
-fn is_snapshot_damage(e: &JournalError) -> bool {
-    matches!(
-        e,
-        JournalError::Snapshot(_) | JournalError::Invalid { .. } | JournalError::Encode(_)
-    )
-}
-
 /// Open a journal directory: load the newest snapshot, replay its epoch's
 /// segments (truncating at the first torn, corrupt, or un-committed
 /// record run), and return the recovered store plus an append-ready
@@ -927,250 +897,106 @@ fn replay(
 ) -> Result<(Store, Journal, RecoveryReport), JournalError> {
     io.create_dir_all(dir)
         .map_err(|e| JournalError::io(dir, e))?;
+    let inv = inventory(io.as_ref(), dir)?;
 
-    let Inventory {
-        snapshots,
-        segments,
-    } = inventory(io.as_ref(), dir)?;
-
-    if snapshots.is_empty() {
-        if !segments.is_empty() {
+    let initialized = inv.snapshots.is_empty();
+    let mut warnings = Vec::new();
+    let Picked {
+        epoch,
+        format,
+        base_seq,
+        mut store,
+    } = if initialized {
+        if inv.journal_file().is_some() {
             return Err(JournalError::Invalid {
                 dir: dir.to_path_buf(),
                 reason: "journal segments present but no snapshot".into(),
             });
         }
         // Fresh directory: initialize epoch 0.
-        let mut store = initial.unwrap_or_else(Store::with_builtin_model);
+        let store = initial.unwrap_or_else(Store::with_builtin_model);
         write_snapshot(io.as_ref(), dir, 0, 0, &store, config.fsync)?;
-        store.enable_events_at(0);
-        let journal = Journal {
-            dir: dir.to_path_buf(),
-            config,
-            io,
+        Picked {
             epoch: 0,
+            format: SnapshotFormat::Binary,
             base_seq: 0,
-            next_seq: 0,
-            next_segment_index: 0,
-            current: None,
-            wedged: false,
-            retries: 0,
-        };
-        let report = RecoveryReport {
-            epoch: 0,
-            base_seq: 0,
-            events_applied: 0,
-            segments_replayed: 0,
-            damage: None,
-            initialized: true,
-            warnings: Vec::new(),
-        };
-        return Ok((store, journal, report));
-    }
-
-    // Try the snapshots in inventory order. A snapshot with typed damage —
-    // torn section, bad CRC, truncated offset table — falls back to the
-    // next candidate; the damaged file is removed so segments of its epoch
-    // are not replayed onto the wrong base. Hard I/O errors propagate: they
-    // would affect every candidate alike.
-    let mut fallback_warnings: Vec<String> = Vec::new();
-    let mut chosen: Option<(u64, SnapshotFormat, SnapshotMeta, Store)> = None;
-    for &(epoch, format) in &snapshots {
-        let path = dir.join(format.file_name(epoch));
-        match read_snapshot(io.as_ref(), &path, format) {
-            Ok((meta, store)) if meta.epoch == epoch => {
-                chosen = Some((epoch, format, meta, store));
-                break;
-            }
-            Ok((meta, _)) => {
-                fallback_warnings.push(format!(
-                    "snapshot {} records epoch {} inside; falling back",
-                    path.display(),
-                    meta.epoch
-                ));
-                io.remove_file(&path).ok();
-            }
-            Err(e) if is_snapshot_damage(&e) => {
-                fallback_warnings.push(format!(
-                    "snapshot {} is damaged ({e}); falling back",
-                    path.display()
-                ));
-                io.remove_file(&path).ok();
-            }
-            Err(e) => return Err(e),
+            store,
         }
-    }
-    let Some((epoch, format, meta, mut store)) = chosen else {
-        return Err(JournalError::Invalid {
+    } else {
+        // A passed-over snapshot is removed, so segments of its epoch are
+        // not replayed onto the wrong base.
+        let (picked, rejected) = pick_snapshot(io.as_ref(), dir, &inv)?;
+        for (path, reason) in rejected {
+            warnings.push(format!(
+                "snapshot {} {reason}; falling back",
+                path.display()
+            ));
+            io.remove_file(&path).ok();
+        }
+        picked.ok_or_else(|| JournalError::Invalid {
             dir: dir.to_path_buf(),
-            reason: format!("no usable snapshot: {}", fallback_warnings.join("; ")),
-        });
+            reason: format!("no usable snapshot: {}", warnings.join("; ")),
+        })?
     };
 
     let mut report = RecoveryReport {
         epoch,
-        base_seq: meta.seq,
+        base_seq,
         events_applied: 0,
         segments_replayed: 0,
         damage: None,
-        initialized: false,
-        warnings: fallback_warnings,
+        initialized,
+        warnings,
     };
     // Replay records into the store's event log, numbered from the
     // snapshot's sequence: the recovered store holds the replayed tail, and
     // a caller with a persisted view of an earlier position (the index
     // sidecar) reads the events past it from there.
-    store.enable_events_at(meta.seq);
+    store.enable_events_at(base_seq);
 
     // Clean up files a crashed compaction left behind: older (or damaged
-    // same-epoch, other-format) snapshots, other-epoch segments, stale
-    // index sidecars, temp files. Failures become warnings — the files
-    // are ignored by replay either way.
-    for &(e, f) in &snapshots {
-        if e < epoch || (e == epoch && f != format) {
-            let path = dir.join(f.file_name(e));
-            if let Err(err) = io.remove_file(&path) {
-                if err.kind() != std::io::ErrorKind::NotFound {
-                    report.warnings.push(format!(
-                        "stale snapshot {} not removed: {err}",
-                        path.display()
-                    ));
-                }
-            }
-        }
-    }
-    for (seg_epoch, index) in &segments {
-        if *seg_epoch != epoch {
-            let path = dir.join(segment_file_name(*seg_epoch, *index));
-            if let Err(err) = io.remove_file(&path) {
-                report.warnings.push(format!(
-                    "stale segment {} not removed: {err}",
-                    path.display()
-                ));
-            }
-        }
-    }
-    if let Ok(entries) = io.list_dir(dir) {
-        for (name, _) in entries {
-            if parse_index_name(&name).is_some_and(|e| e != epoch) {
-                io.remove_file(&dir.join(&name)).ok();
+    // same-epoch, other-format) snapshots, other-epoch segments and index
+    // sidecars. Failures become warnings — the files are ignored by replay
+    // either way.
+    let stale = inv.files.iter().filter(|file| match file.kind {
+        FileKind::Snapshot(e, f) => e < epoch || (e == epoch && f != format),
+        FileKind::Segment(e, _) | FileKind::Sidecar(e) => e != epoch,
+        FileKind::Temp => false,
+    });
+    for file in stale {
+        let path = dir.join(&file.name);
+        if let Err(e) = io.remove_file(&path) {
+            if e.kind() != std::io::ErrorKind::NotFound {
+                report
+                    .warnings
+                    .push(format!("stale file {} not removed: {e}", path.display()));
             }
         }
     }
 
-    // Replay this epoch's segments in index order.
-    let mut live: Vec<u64> = segments
-        .iter()
-        .filter(|(e, _)| *e == epoch)
-        .map(|(_, i)| *i)
-        .collect();
-    live.sort_unstable();
-
-    // Events decoded from the log (committed or not) — segment headers are
-    // checked against this.
-    let mut decoded_seq = meta.seq;
-    // Events sealed by a commit marker and applied to the store.
-    let mut committed_seq = meta.seq;
-    // Position just after the last commit marker: `(index into live, byte
-    // offset)`. Repair truncates here. `None` = no valid segment yet.
-    let mut watermark: Option<(usize, u64)> = None;
-    // Events decoded since the last marker, with the segment position of
-    // the commit's first record (for diagnostics).
-    let mut pending: Vec<StoreEvent> = Vec::new();
-
-    'segments: for (pos, &index) in live.iter().enumerate() {
-        let path = dir.join(segment_file_name(epoch, index));
-        let bytes = io.read(&path).map_err(|e| JournalError::io(&path, e))?;
-
-        let damage_kind = match SegmentHeader::decode(&bytes) {
-            None => Some(DamageKind::BadHeader),
-            Some(h) if h.epoch != epoch || h.start_seq != decoded_seq => {
-                Some(DamageKind::SequenceMismatch)
+    // Apply this epoch's sealed batches. A batch with an event that does
+    // not apply stops the replay there.
+    let live = inv.segments(epoch);
+    let scan = scan(
+        io.as_ref(),
+        dir,
+        epoch,
+        base_seq,
+        &live,
+        |batch, segment, end| {
+            for event in &batch.events {
+                store.apply_event(event).map_err(|_| Damage {
+                    segment: segment.to_path_buf(),
+                    offset: end,
+                    kind: DamageKind::Apply,
+                })?;
+                report.events_applied += 1;
             }
-            Some(_) => None,
-        };
-        if let Some(kind) = damage_kind {
-            report.damage = Some(Damage {
-                segment: path.clone(),
-                offset: 0,
-                kind,
-            });
-            break 'segments;
-        }
-        if pending.is_empty() {
-            // A commit boundary coincides with this segment's start.
-            watermark = Some((pos, SEGMENT_HEADER_LEN as u64));
-        }
-
-        let mut offset = SEGMENT_HEADER_LEN;
-        loop {
-            match record::decode(&bytes[offset..]) {
-                Decoded::End => break,
-                Decoded::Record { payload, consumed } => {
-                    if payload == COMMIT_MARKER {
-                        offset += consumed;
-                        for event in pending.drain(..) {
-                            if store.apply_event(&event).is_err() {
-                                report.damage = Some(Damage {
-                                    segment: path.clone(),
-                                    offset: offset as u64,
-                                    kind: DamageKind::Apply,
-                                });
-                                break 'segments;
-                            }
-                            committed_seq += 1;
-                            report.events_applied += 1;
-                        }
-                        watermark = Some((pos, offset as u64));
-                    } else {
-                        match serde_json::from_slice::<StoreEvent>(payload) {
-                            Ok(event) => {
-                                pending.push(event);
-                                decoded_seq += 1;
-                                offset += consumed;
-                            }
-                            Err(_) => {
-                                report.damage = Some(Damage {
-                                    segment: path.clone(),
-                                    offset: offset as u64,
-                                    kind: DamageKind::Corrupt,
-                                });
-                                break 'segments;
-                            }
-                        }
-                    }
-                }
-                torn_or_corrupt => {
-                    let kind = if torn_or_corrupt == Decoded::Torn {
-                        DamageKind::Torn
-                    } else {
-                        DamageKind::Corrupt
-                    };
-                    report.damage = Some(Damage {
-                        segment: path.clone(),
-                        offset: offset as u64,
-                        kind,
-                    });
-                    break 'segments;
-                }
-            }
-        }
-        report.segments_replayed += 1;
-    }
-
-    // A log ending in events without a sealing marker is the tail of a
-    // commit that was never acknowledged: discard it.
-    if report.damage.is_none() && !pending.is_empty() {
-        let (pos, offset) = watermark.unwrap_or((0, SEGMENT_HEADER_LEN as u64));
-        report.damage = Some(Damage {
-            segment: dir.join(segment_file_name(
-                epoch,
-                live.get(pos).copied().unwrap_or(0),
-            )),
-            offset,
-            kind: DamageKind::Uncommitted,
-        });
-    }
+            Ok(())
+        },
+    )?;
+    report.damage = scan.stopped.or(scan.damage);
+    report.segments_replayed = scan.segments_read;
 
     // Physically repair damage: truncate back to the last sealed commit and
     // delete everything unreachable after it. A failed repair leaves bytes
@@ -1180,9 +1006,8 @@ fn replay(
     // readable state, but no appends until a reopen repairs cleanly.
     let mut repair_failed = false;
     let next_segment_index = if report.damage.is_some() {
-        pending.clear();
         let before = report.warnings.len();
-        let next = match watermark {
+        let next = match scan.watermark {
             Some((pos, offset)) => {
                 let keep = live[pos];
                 let keep_path = dir.join(segment_file_name(epoch, keep));
@@ -1222,43 +1047,14 @@ fn replay(
         config,
         io,
         epoch,
-        base_seq: meta.seq,
-        next_seq: committed_seq,
+        base_seq,
+        next_seq: base_seq + report.events_applied,
         next_segment_index,
         current: None,
         wedged: repair_failed,
         retries: 0,
     };
     Ok((store, journal, report))
-}
-
-/// The snapshot and segment files of a journal directory, by name.
-pub(crate) struct Inventory {
-    /// `(epoch, format)`, newest epoch first and, within an epoch, the
-    /// binary image before a legacy JSON one (the format a migrating
-    /// compaction writes last).
-    pub(crate) snapshots: Vec<(u64, SnapshotFormat)>,
-    /// `(epoch, index)`, in directory order.
-    pub(crate) segments: Vec<(u64, u64)>,
-}
-
-/// List a journal directory.
-pub(crate) fn inventory(io: &dyn JournalIo, dir: &Path) -> Result<Inventory, JournalError> {
-    let mut inv = Inventory {
-        snapshots: Vec::new(),
-        segments: Vec::new(),
-    };
-    for (name, _) in io.list_dir(dir).map_err(|e| JournalError::io(dir, e))? {
-        if let Some(key) = parse_snapshot_name(&name) {
-            inv.snapshots.push(key);
-        } else if let Some(key) = parse_segment_name(&name) {
-            inv.segments.push(key);
-        }
-    }
-    inv.snapshots.sort_by_key(|&(epoch, format)| {
-        (std::cmp::Reverse(epoch), format != SnapshotFormat::Binary)
-    });
-    Ok(inv)
 }
 
 /// Delete the given segment indexes of an epoch, collecting failures as

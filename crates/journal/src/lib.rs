@@ -18,6 +18,13 @@
 //! everything up to the damage point is recovered — exactly the contract
 //! of a write-ahead log after a crash.
 //!
+//! One reader serves every consumer of a journal directory: recovery,
+//! replication export ([`export_tail`]), compaction's stale-file sweep,
+//! [`install_snapshot`]'s refusal check and a follower's [`has_journal`]
+//! probe. It lists the directory once, picks the snapshot to start from
+//! and scans that epoch's sealed batches, so export ships exactly what
+//! recovery would replay.
+//!
 //! Compaction ([`Journal::compact`]) folds the journal into a fresh
 //! snapshot under the next *epoch* and deletes the old epoch's files. The
 //! epoch lives in every file name and segment header, so a crash at any
@@ -39,6 +46,7 @@
 pub mod export;
 pub mod io;
 pub mod journal;
+mod reader;
 pub mod record;
 pub mod segment;
 
@@ -51,6 +59,7 @@ pub use journal::{
     recover, recover_or_adopt, recover_with_io, CompactionReport, Damage, DamageKind, ErrorClass,
     Journal, JournalConfig, JournalError, RecoveryReport,
 };
+pub use reader::has_journal;
 
 use semex_store::StoreEvent;
 

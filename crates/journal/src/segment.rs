@@ -1,4 +1,4 @@
-//! Segment files: naming, headers, directory scanning.
+//! Journal files: naming and segment headers.
 //!
 //! A journal directory holds one snapshot per *epoch* plus an ordered run of
 //! append-only segment files for the current epoch:

@@ -355,14 +355,15 @@ pub enum Bootstrap {
 }
 
 /// Prepare `dir` to follow `primary`: if the directory holds no journal
-/// yet, ask the primary for the stream from 0 and install the snapshot
-/// frame, if one arrives, with [`semex_journal::install_snapshot`]. After
-/// this, opening `dir` through the ordinary recovery path yields a
-/// platform at the primary's compacted base, and the pull loop ships the
-/// journal tail on top — snapshot + tail catch-up, same as local
-/// recovery.
+/// yet ([`semex_journal::has_journal`]: no snapshot and no segment — the
+/// temp file of a bootstrap killed mid-install is none), ask the primary
+/// for the stream from 0 and install the snapshot frame, if one arrives,
+/// with [`semex_journal::install_snapshot`]. After this, opening `dir`
+/// through the ordinary recovery path yields a platform at the primary's
+/// compacted base, and the pull loop ships the journal tail on top —
+/// snapshot + tail catch-up, same as local recovery.
 pub fn bootstrap(primary: SocketAddr, dir: &Path) -> Result<Bootstrap, String> {
-    if has_journal(dir) {
+    if semex_journal::has_journal(dir) {
         return Ok(Bootstrap::Existing);
     }
     let mut stream = TcpStream::connect_timeout(&primary, Duration::from_secs(5))
@@ -409,16 +410,4 @@ pub fn bootstrap(primary: SocketAddr, dir: &Path) -> Result<Bootstrap, String> {
     }
     // The probe connection drops here; the primary cleans it up and the
     // real pull loop reconnects with the installed position.
-}
-
-/// Whether `dir` already holds journal state (a snapshot or a segment).
-fn has_journal(dir: &Path) -> bool {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return false;
-    };
-    entries.filter_map(|e| e.ok()).any(|e| {
-        let name = e.file_name();
-        let name = name.to_string_lossy();
-        name.starts_with("wal-") || name.starts_with("snapshot-")
-    })
 }

@@ -174,7 +174,15 @@ fn fresh_follower_bootstraps_a_journal_born_from_a_populated_store() {
     // journal whose sequence-0 snapshot holds the whole pre-built space:
     // no batch can ever reproduce that state. A fresh follower announcing
     // position 0 must still be sent the base image — "I am at sequence 0"
-    // and "I hold nothing" are different claims.
+    // and "I hold nothing" are different claims. A follower killed while
+    // installing that image leaves only its temp file behind, which is
+    // still no journal: on restart it must install the image afresh.
+    for leftover in [None, Some("snapshot-0000000001.bin.tmp")] {
+        follower_bootstraps_a_born_journal(leftover);
+    }
+}
+
+fn follower_bootstraps_a_born_journal(leftover: Option<&str>) {
     let primary_dir = scratch("born-primary");
     let semex = SemexBuilder::new()
         .add_bibtex("library", BIB)
@@ -196,6 +204,10 @@ fn fresh_follower_bootstraps_a_journal_born_from_a_populated_store() {
     let primary = serve(master, "127.0.0.1:0", config, PoolConfig::default()).unwrap();
 
     let follower_dir = scratch("born-f0");
+    if let Some(name) = leftover {
+        std::fs::create_dir_all(&follower_dir).unwrap();
+        std::fs::write(follower_dir.join(name), b"torn image").unwrap();
+    }
     let follower = follow(
         hub.addr(),
         &follower_dir,
@@ -230,7 +242,7 @@ fn fresh_follower_bootstraps_a_journal_born_from_a_populated_store() {
     assert_eq!(
         f.request(&probe).unwrap(),
         want,
-        "fresh follower is missing the primary's base snapshot"
+        "fresh follower (leftover {leftover:?}) is missing the primary's base snapshot"
     );
     // The shipped image was installed as a binary epoch-1 snapshot.
     assert!(

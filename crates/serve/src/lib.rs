@@ -68,4 +68,4 @@ pub use semex_tenant::{
     EpochSnapshot, PoolConfig, PoolReport, PoolSnapshot, SnapshotEngine, TenantId, TenantRegistry,
 };
 pub use server::{serve, serve_tenants, ReplicationSink, ServeConfig, ServeHandle, ServeReport};
-pub use writer::{Applied, WriteCommand, WriterReport};
+pub use writer::{WriteCommand, WriterReport};

@@ -102,8 +102,9 @@ impl WriteCommand {
     /// sequential-replay oracle the concurrency tests compare the served
     /// state against. A replicated batch goes through the platform's
     /// journal-first [`Semex::apply_replicated`]. Returns the success
-    /// response minus its epoch.
-    pub fn apply(&self, semex: &mut Semex) -> Result<Applied, Response> {
+    /// response, its epoch 0 until the writer stamps in the epoch the
+    /// write's batch is published under.
+    pub fn apply(&self, semex: &mut Semex) -> Result<Response, Response> {
         match self {
             WriteCommand::Ingest {
                 format,
@@ -133,7 +134,8 @@ impl WriteCommand {
                     },
                 };
                 let stats = semex.ingest(spec).map_err(error_response)?;
-                Ok(Applied::Ingested {
+                Ok(Response::Ingested {
+                    epoch: 0,
                     records: stats.records,
                     objects: stats.objects,
                     triples: stats.triples,
@@ -141,13 +143,15 @@ impl WriteCommand {
             }
             WriteCommand::IntegrateCsv { name, csv } => {
                 match semex.integrate(name, csv).map_err(error_response)? {
-                    Some((score, report)) => Ok(Applied::Integrated {
+                    Some((score, report)) => Ok(Response::Integrated {
+                        epoch: 0,
                         matched: true,
                         score,
                         created: report.created,
                         merged: report.merged_into_existing,
                     }),
-                    None => Ok(Applied::Integrated {
+                    None => Ok(Response::Integrated {
+                        epoch: 0,
                         matched: false,
                         score: 0.0,
                         created: 0,
@@ -159,12 +163,18 @@ impl WriteCommand {
                 let (a, b) = (check_object(semex, *a)?, check_object(semex, *b)?);
                 let merges = semex.store().resolve(a) != semex.store().resolve(b);
                 semex.assert_same(a, b).map_err(error_response)?;
-                Ok(Applied::Asserted { merged: merges })
+                Ok(Response::Asserted {
+                    epoch: 0,
+                    merged: merges,
+                })
             }
             WriteCommand::AssertDistinct { a, b } => {
                 let (a, b) = (check_object(semex, *a)?, check_object(semex, *b)?);
                 let accepted = semex.assert_distinct(a, b).map_err(error_response)?;
-                Ok(Applied::Asserted { merged: accepted })
+                Ok(Response::Asserted {
+                    epoch: 0,
+                    merged: accepted,
+                })
             }
             WriteCommand::Replicate {
                 start_seq,
@@ -180,7 +190,7 @@ impl WriteCommand {
                 }
                 semex
                     .apply_replicated(*start_seq, &events)
-                    .map(|_| Applied::Replicated)
+                    .map(|_| Response::Replicated { epoch: 0 })
                     .map_err(|e| Response::Error {
                         kind: ErrorKindWire::Internal,
                         message: format!("replicated batch refused: {e}"),
@@ -190,68 +200,15 @@ impl WriteCommand {
     }
 }
 
-/// A successfully applied write, waiting for its batch to commit so the
-/// ack can carry the publication epoch.
-#[derive(Debug)]
-pub enum Applied {
-    /// An ingest's extraction stats.
-    Ingested {
-        /// Input records consumed.
-        records: usize,
-        /// References created.
-        objects: usize,
-        /// Triples asserted.
-        triples: usize,
-    },
-    /// A CSV integration's outcome.
-    Integrated {
-        /// Whether a usable mapping was found.
-        matched: bool,
-        /// Mapping quality.
-        score: f64,
-        /// References created.
-        created: usize,
-        /// References merged into existing objects.
-        merged: usize,
-    },
-    /// An assertion's outcome.
-    Asserted {
-        /// See [`Response::Asserted`].
-        merged: bool,
-    },
-    /// A replicated batch folded into the follower (the ack epoch is the
-    /// follower's new durable head).
-    Replicated,
-}
-
-impl Applied {
-    fn into_response(self, epoch: u64) -> Response {
-        match self {
-            Applied::Ingested {
-                records,
-                objects,
-                triples,
-            } => Response::Ingested {
-                epoch,
-                records,
-                objects,
-                triples,
-            },
-            Applied::Integrated {
-                matched,
-                score,
-                created,
-                merged,
-            } => Response::Integrated {
-                epoch,
-                matched,
-                score,
-                created,
-                merged,
-            },
-            Applied::Asserted { merged } => Response::Asserted { epoch, merged },
-            Applied::Replicated => Response::Replicated { epoch },
-        }
+/// Stamp the epoch a write's batch was published under into its success
+/// response.
+fn stamp_epoch(response: &mut Response, published: u64) {
+    if let Response::Ingested { epoch, .. }
+    | Response::Integrated { epoch, .. }
+    | Response::Asserted { epoch, .. }
+    | Response::Replicated { epoch } = response
+    {
+        *epoch = published;
     }
 }
 
@@ -423,10 +380,11 @@ fn service_batch(
     let epoch = engine.publish(master.snapshot());
     for (reply, outcome) in outcomes {
         let response = match (&committed, outcome) {
-            (Ok(_), Ok(applied)) => match &tap_err {
+            (Ok(_), Ok(mut response)) => match &tap_err {
                 None => {
                     stats.writes_ok.fetch_add(1, Ordering::Relaxed);
-                    applied.into_response(epoch)
+                    stamp_epoch(&mut response, epoch);
+                    response
                 }
                 Some(err) => {
                     stats.writes_failed.fetch_add(1, Ordering::Relaxed);

@@ -15,7 +15,9 @@ echo "==> cargo test"
 cargo test -q --workspace
 
 echo "==> durability fault sweep (a fault injected at every journal I/O op,"
-echo "    and at every op of a legacy JSON space's migrating compaction)"
+echo "    and at every op of a legacy JSON space's migrating compaction; at"
+echo "    every crash point of both, the replication export must equal what"
+echo "    recovery opens)"
 cargo test -q -p semex-journal --test fault_sweep -- --nocapture
 
 echo "==> binary snapshot suite (round trips, legacy JSON migration, epoch"
