@@ -1860,10 +1860,10 @@ fn e14_tenants(smoke: bool) {
 }
 
 fn e15_snapshot(smoke: bool) {
-    use semex_core::{JournalConfig, Semex, SemexBuilder, SemexConfig};
+    use semex_core::{JournalConfig, Semex, SemexBuilder, SemexConfig, SourceSpec};
 
     let mode = if smoke { "smoke" } else { "full" };
-    println!("## E15 — binary snapshots: cold-open latency and memory ({mode})\n");
+    println!("## E15 — binary snapshots: cold-open latency, memory and publication ({mode})\n");
 
     let scales: &[(&str, f64)] = if smoke {
         &[("small", 0.25)]
@@ -1900,6 +1900,7 @@ fn e15_snapshot(smoke: bool) {
         "open p99 ms",
         "peak MiB",
         "resident MiB",
+        "publish p50 µs",
     ]);
     let mut records = Vec::new();
     for &(label, scale) in scales {
@@ -1956,6 +1957,31 @@ fn e15_snapshot(smoke: bool) {
                 "cold-open answers diverged at scale {label}"
             );
         }
+        // Publication: the snapshot a write batch publishes, taken after a
+        // one-message ingest while the previous one is still held, as the
+        // serving layer holds it.
+        let (mut space, _) =
+            Semex::open_durable_with(&dir, SemexConfig::default(), journal.clone())
+                .expect("open for publishing");
+        let mut published = space.snapshot();
+        let mut publish_us = Vec::with_capacity(iterations);
+        for i in 0..iterations {
+            let content =
+                format!("From: probe{i}@example.org\nSubject: publish probe {i}\n\nOne message.\n");
+            space
+                .ingest(SourceSpec::Mbox {
+                    name: format!("probe{i}.mbox"),
+                    content,
+                })
+                .expect("one-message ingest");
+            space.commit().expect("commit the ingest");
+            let t0 = Instant::now();
+            let next = space.snapshot();
+            publish_us.push(t0.elapsed().as_secs_f64() * 1e6);
+            published = next;
+        }
+        drop(published);
+        publish_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
         opens_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let peak = *peaks.iter().max().unwrap();
         let resident = *residents.iter().max().unwrap();
@@ -1966,6 +1992,7 @@ fn e15_snapshot(smoke: bool) {
             format!("{:.2}", pct(&opens_ms, 0.99)),
             format!("{:.1}", peak as f64 / (1024.0 * 1024.0)),
             format!("{:.1}", resident as f64 / (1024.0 * 1024.0)),
+            format!("{:.1}", pct(&publish_us, 0.5)),
         ]);
         records.push(serde_json::json!({
             "scale": label,
@@ -1975,12 +2002,14 @@ fn e15_snapshot(smoke: bool) {
             "cold_open_p99_ms": pct(&opens_ms, 0.99),
             "peak_transient_bytes": peak,
             "resident_bytes": resident,
+            "publish_p50_us": pct(&publish_us, 0.5),
         }));
     }
     println!("{}", table.render());
     println!(
         "peak = high-water allocation during the open (decode scratch); \
-         resident = bytes still live with the space held open\n"
+         resident = bytes still live with the space held open; publish = \
+         taking the snapshot a write publishes, after a one-message ingest\n"
     );
     std::fs::remove_dir_all(&scratch).ok();
 

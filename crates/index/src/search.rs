@@ -8,8 +8,9 @@ use crate::tokenizer::index_tokens_into;
 use crate::{Bm25Params, Query};
 use semex_model::names::attr;
 use semex_model::ClassId;
-use semex_store::{ObjectId, Store, StoreEvent};
+use semex_store::{ChunkVec, ObjectId, Store, StoreEvent};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One ranked search result.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,18 +115,25 @@ fn tokenize_shard(store: &Store, objects: &[ObjectId]) -> Shard {
 /// surface forms), then keep it current with [`SearchIndex::apply_events`]:
 /// mutations tombstone and re-tokenize only the touched documents, and the
 /// index compacts itself when enough tombstones accumulate.
+///
+/// Like the store, the index keeps its large fields in copy-on-write
+/// [`ChunkVec`]s and shares its dictionary behind an `Arc`: a clone (a
+/// published snapshot) copies root pointers, and a later write copies the
+/// chunks it touches — the dictionary only when a batch interns a term.
 #[derive(Debug, Clone, Default)]
 pub struct SearchIndex {
-    pub(crate) dict: TermDict,
+    pub(crate) dict: Arc<TermDict>,
     /// Indexed by term id.
-    pub(crate) postings: Vec<PostingList>,
+    pub(crate) postings: ChunkVec<PostingList>,
     /// Indexed by dense doc slot; tombstoned entries stay until compaction.
-    pub(crate) docs: Vec<DocEntry>,
+    pub(crate) docs: ChunkVec<DocEntry>,
     /// Forward index: `(term id, weighted tf)` per live doc slot, in
     /// first-occurrence order. Emptied when a doc is tombstoned (its df
     /// contributions are retracted at that moment).
-    doc_terms: Vec<Vec<(u32, f32)>>,
-    doc_of: HashMap<ObjectId, u32>,
+    doc_terms: ChunkVec<Vec<(u32, f32)>>,
+    /// The live doc slot of each object, indexed by object slot; [`NO_DOC`]
+    /// where an object has none.
+    doc_of: ChunkVec<u32>,
     pub(crate) live_docs: usize,
     /// Sum of live doc lengths. Lengths are integer-valued, so adds and
     /// retractions are exact and `avg_doc_len` matches a fresh build.
@@ -135,6 +143,23 @@ pub struct SearchIndex {
     /// Write-batching layers assert on this: N coalesced mutations must
     /// cost one delta application, not N.
     apply_calls: u64,
+}
+
+/// The `doc_of` entry of an object without a live document.
+const NO_DOC: u32 = u32::MAX;
+
+/// The `doc_of` table of a set of doc slots: each live doc's object maps to
+/// its slot.
+fn doc_slots(docs: &ChunkVec<DocEntry>) -> ChunkVec<u32> {
+    let mut doc_of = Vec::new();
+    for (i, d) in docs.iter().enumerate().filter(|(_, d)| d.live) {
+        let at = d.object.index();
+        if doc_of.len() <= at {
+            doc_of.resize(at + 1, NO_DOC);
+        }
+        doc_of[at] = i as u32;
+    }
+    doc_of.into_iter().collect()
 }
 
 impl SearchIndex {
@@ -191,8 +216,12 @@ impl SearchIndex {
     }
 
     /// Intern a term into the global dictionary, growing the posting array.
+    /// A known term leaves a shared dictionary shared.
     fn intern_term(&mut self, term: &str) -> u32 {
-        let id = self.dict.intern(term);
+        let id = match self.dict.lookup(term) {
+            Some(id) => id,
+            None => Arc::make_mut(&mut self.dict).intern(term),
+        };
         if self.postings.len() <= id as usize {
             self.postings
                 .resize_with(id as usize + 1, PostingList::default);
@@ -210,7 +239,7 @@ impl SearchIndex {
         }
         for d in shard.docs {
             debug_assert!(
-                !self.doc_of.contains_key(&d.object),
+                self.doc_slot(d.object).is_none(),
                 "absorb expects unseen objects; add_object replaces first"
             );
             let doc = u32::try_from(self.docs.len()).expect("doc slot space exceeded");
@@ -229,7 +258,8 @@ impl SearchIndex {
                 live: true,
             });
             self.doc_terms.push(fwd);
-            self.doc_of.insert(d.object, doc);
+            self.doc_of.resize_with(d.object.index() + 1, || NO_DOC);
+            self.doc_of[d.object.index()] = doc;
             self.live_docs += 1;
             self.total_len += f64::from(len);
         }
@@ -250,9 +280,10 @@ impl SearchIndex {
     /// posting entries themselves linger until [`SearchIndex::compact`].
     /// Returns whether a document was removed.
     pub fn remove_object(&mut self, obj: ObjectId) -> bool {
-        let Some(doc) = self.doc_of.remove(&obj) else {
+        let Some(doc) = self.doc_slot(obj) else {
             return false;
         };
+        self.doc_of[obj.index()] = NO_DOC;
         let entry = &mut self.docs[doc as usize];
         entry.live = false;
         self.total_len -= f64::from(entry.len);
@@ -310,6 +341,14 @@ impl SearchIndex {
         }
     }
 
+    /// The live doc slot of an object, if it has one.
+    fn doc_slot(&self, obj: ObjectId) -> Option<u32> {
+        self.doc_of
+            .get(obj.index())
+            .copied()
+            .filter(|&d| d != NO_DOC)
+    }
+
     /// Drop tombstoned doc slots and their postings, renumbering the
     /// survivors. Purely index-local (no store access): the forward index
     /// of live docs carries everything needed. Per-term `max_tf` bounds are
@@ -319,8 +358,8 @@ impl SearchIndex {
             return;
         }
         let mut remap: Vec<u32> = vec![u32::MAX; self.docs.len()];
-        let mut new_docs: Vec<DocEntry> = Vec::with_capacity(self.live_docs);
-        let mut new_terms: Vec<Vec<(u32, f32)>> = Vec::with_capacity(self.live_docs);
+        let mut new_docs: ChunkVec<DocEntry> = ChunkVec::new();
+        let mut new_terms: ChunkVec<Vec<(u32, f32)>> = ChunkVec::new();
         for (i, slot) in remap.iter_mut().enumerate() {
             if self.docs[i].live {
                 *slot = new_docs.len() as u32;
@@ -328,7 +367,7 @@ impl SearchIndex {
                 new_terms.push(std::mem::take(&mut self.doc_terms[i]));
             }
         }
-        for list in &mut self.postings {
+        self.postings.for_each_mut(|list| {
             let mut max_tf = 0.0f32;
             list.postings.retain_mut(|p| {
                 let nd = remap[p.doc as usize];
@@ -343,15 +382,10 @@ impl SearchIndex {
             });
             list.max_tf = max_tf;
             debug_assert_eq!(list.live as usize, list.postings.len());
-        }
+        });
+        self.doc_of = doc_slots(&new_docs);
         self.docs = new_docs;
         self.doc_terms = new_terms;
-        self.doc_of = self
-            .docs
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (d.object, i as u32))
-            .collect();
     }
 
     /// Number of live indexed documents (objects).
@@ -379,9 +413,9 @@ impl SearchIndex {
         &self,
     ) -> (
         &TermDict,
-        &[PostingList],
-        &[DocEntry],
-        &[Vec<(u32, f32)>],
+        &ChunkVec<PostingList>,
+        &ChunkVec<DocEntry>,
+        &ChunkVec<Vec<(u32, f32)>>,
         usize,
         f64,
         Bm25Params,
@@ -401,25 +435,19 @@ impl SearchIndex {
     /// from the live doc slots, `apply_calls` restarts at zero.
     pub(crate) fn from_sidecar_parts(
         dict: TermDict,
-        postings: Vec<PostingList>,
-        docs: Vec<DocEntry>,
-        doc_terms: Vec<Vec<(u32, f32)>>,
+        postings: ChunkVec<PostingList>,
+        docs: ChunkVec<DocEntry>,
+        doc_terms: ChunkVec<Vec<(u32, f32)>>,
         live_docs: usize,
         total_len: f64,
         params: Bm25Params,
     ) -> Self {
-        let doc_of = docs
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.live)
-            .map(|(i, d)| (d.object, i as u32))
-            .collect();
         SearchIndex {
-            dict,
+            doc_of: doc_slots(&docs),
+            dict: Arc::new(dict),
             postings,
             docs,
             doc_terms,
-            doc_of,
             live_docs,
             total_len,
             params,

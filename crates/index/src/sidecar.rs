@@ -36,7 +36,7 @@ use semex_model::ClassId;
 use semex_store::binary::{
     write_varint, ArenaReader, ArenaWriter, BinaryError, Cursor, SectionWriter, Sections,
 };
-use semex_store::ObjectId;
+use semex_store::{ChunkVec, ObjectId};
 
 /// Magic bytes opening an index sidecar image.
 pub const SIDECAR_MAGIC: &[u8; 8] = b"SEMEXIDX";
@@ -265,15 +265,12 @@ impl<'a> PostingsReader<'a> {
             }
         }
 
-        let mut postings = Vec::with_capacity(self.list_count);
-        for id in 0..self.list_count {
-            postings.push(self.posting_list(id as u32)?);
-        }
-
-        let mut docs = Vec::with_capacity(self.doc_count);
-        for i in 0..self.doc_count {
-            docs.push(self.doc(i)?);
-        }
+        let postings = (0..self.list_count)
+            .map(|id| self.posting_list(id as u32))
+            .collect::<Result<ChunkVec<_>, _>>()?;
+        let docs = (0..self.doc_count)
+            .map(|i| self.doc(i))
+            .collect::<Result<ChunkVec<_>, _>>()?;
 
         let mut c = Cursor::new(self.docterms, "docterms");
         let ndocs = c.u32()? as usize;
@@ -283,7 +280,7 @@ impl<'a> PostingsReader<'a> {
                 detail: "forward index not parallel to docs",
             });
         }
-        let mut doc_terms = Vec::with_capacity(ndocs);
+        let mut doc_terms = ChunkVec::new();
         for doc in docs.iter().take(ndocs) {
             let n = c.index()?;
             if n > self.docterms.len() {
@@ -361,7 +358,7 @@ impl SearchIndex {
 
         let mut list_records: Vec<u8> = Vec::new();
         let mut list_offsets: Vec<u32> = Vec::with_capacity(postings.len());
-        for list in postings {
+        for list in postings.iter() {
             list_offsets.push(u32::try_from(list_records.len()).expect("postings over 4 GiB"));
             write_varint(u64::from(list.live), &mut list_records);
             list_records.extend_from_slice(&list.max_tf.to_le_bytes());
@@ -385,7 +382,7 @@ impl SearchIndex {
 
         let mut doc_section = Vec::with_capacity(4 + docs.len() * DOC_RECORD);
         doc_section.extend_from_slice(&(docs.len() as u32).to_le_bytes());
-        for d in docs {
+        for d in docs.iter() {
             doc_section.extend_from_slice(&d.object.0.to_le_bytes());
             doc_section.extend_from_slice(&d.class.0.to_le_bytes());
             doc_section.extend_from_slice(&d.len.to_le_bytes());
@@ -394,7 +391,7 @@ impl SearchIndex {
 
         let mut fwd_section = Vec::new();
         fwd_section.extend_from_slice(&(doc_terms.len() as u32).to_le_bytes());
-        for fwd in doc_terms {
+        for fwd in doc_terms.iter() {
             write_varint(fwd.len() as u64, &mut fwd_section);
             for (tid, tf) in fwd {
                 write_varint(u64::from(*tid), &mut fwd_section);

@@ -26,7 +26,7 @@
 //!   so exporting never perturbs fault-injection op counts.
 
 use crate::io::{JournalIo, RealIo};
-use crate::journal::{write_snapshot, JournalError};
+use crate::journal::{verify_snapshot, write_snapshot, JournalError};
 use crate::reader::{inventory, pick_snapshot, scan, Picked};
 use semex_store::{Store, StoreEvent};
 use std::collections::HashMap;
@@ -102,13 +102,15 @@ fn export_inner(
 ) -> Result<JournalTail, JournalError> {
     // The same inventory, snapshot pick and scan as recovery, but passed-over
     // snapshots stay where they are: repair is the owning journal's job.
+    // The pick only verifies the image; a store is built from it only when
+    // the export ships it.
     let inv = inventory(io, dir)?;
     let Some(Picked {
         epoch,
         base_seq,
-        store,
+        store: image,
         ..
-    }) = pick_snapshot(io, dir, &inv)?.0
+    }) = pick_snapshot(io, dir, &inv, verify_snapshot)?.0
     else {
         return Err(JournalError::Invalid {
             dir: dir.to_path_buf(),
@@ -116,7 +118,11 @@ fn export_inner(
         });
     };
 
-    let snapshot = (force_snapshot || from_seq < base_seq).then_some((base_seq, store));
+    let snapshot = if force_snapshot || from_seq < base_seq {
+        Some((base_seq, image.into_store()?))
+    } else {
+        None
+    };
     // With a snapshot shipped, batches continue from its base; without
     // one, from the follower's requested position.
     let from = if snapshot.is_some() {

@@ -25,7 +25,7 @@ use crate::segment::{
     FORMAT_VERSION, SEGMENT_HEADER_LEN,
 };
 use semex_store::binary::crc32;
-use semex_store::{SnapshotError, Store, StoreEvent};
+use semex_store::{SnapshotError, SnapshotReader, Store, StoreEvent};
 use serde::Deserialize;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -787,6 +787,38 @@ pub(crate) fn read_snapshot(
     path: &Path,
     format: SnapshotFormat,
 ) -> Result<(SnapshotMeta, Store), JournalError> {
+    let (meta, image) = verify_snapshot(io, path, format)?;
+    Ok((meta, image.into_store()?))
+}
+
+/// A snapshot file checked as far as a reader needs to trust it, but not
+/// yet materialized into a [`Store`].
+pub(crate) enum SnapshotImage {
+    /// A binary image whose header and every section CRC were verified;
+    /// nothing is decoded yet.
+    Binary(Vec<u8>),
+    /// A legacy JSON snapshot: only a full parse checks one.
+    Json(Store),
+}
+
+impl SnapshotImage {
+    /// The store the image holds.
+    pub(crate) fn into_store(self) -> Result<Store, JournalError> {
+        match self {
+            SnapshotImage::Binary(bytes) => Ok(Store::from_binary(&bytes[BIN_SNAPSHOT_HEADER..])?),
+            SnapshotImage::Json(store) => Ok(store),
+        }
+    }
+}
+
+/// Read a snapshot file and verify it without building a store: for a
+/// binary image, the journal header plus the image's header, section table
+/// and section CRCs — the checks that make a damaged snapshot fall back.
+pub(crate) fn verify_snapshot(
+    io: &dyn JournalIo,
+    path: &Path,
+    format: SnapshotFormat,
+) -> Result<(SnapshotMeta, SnapshotImage), JournalError> {
     match format {
         SnapshotFormat::Json => {
             let contents = read_utf8(io, path)?;
@@ -810,13 +842,13 @@ pub(crate) fn read_snapshot(
                 });
             }
             let store = Store::from_json(store_json)?;
-            Ok((meta, store))
+            Ok((meta, SnapshotImage::Json(store)))
         }
         SnapshotFormat::Binary => {
             let bytes = io.read(path).map_err(|e| JournalError::io(path, e))?;
             let meta = decode_bin_snapshot_header(&bytes, path)?;
-            let store = Store::from_binary(&bytes[BIN_SNAPSHOT_HEADER..])?;
-            Ok((meta, store))
+            SnapshotReader::open(&bytes[BIN_SNAPSHOT_HEADER..]).map_err(SnapshotError::from)?;
+            Ok((meta, SnapshotImage::Binary(bytes)))
         }
     }
 }
@@ -923,20 +955,26 @@ fn replay(
             store,
         }
     } else {
-        // A passed-over snapshot is removed, so segments of its epoch are
-        // not replayed onto the wrong base.
-        let (picked, rejected) = pick_snapshot(io.as_ref(), dir, &inv)?;
-        for (path, reason) in rejected {
+        let (picked, rejected) = pick_snapshot(io.as_ref(), dir, &inv, read_snapshot)?;
+        for (path, reason) in &rejected {
             warnings.push(format!(
                 "snapshot {} {reason}; falling back",
                 path.display()
             ));
-            io.remove_file(&path).ok();
         }
-        picked.ok_or_else(|| JournalError::Invalid {
+        // With none usable, every damaged snapshot stays for inspection:
+        // removing them would let the next open initialize an empty
+        // journal in their place.
+        let picked = picked.ok_or_else(|| JournalError::Invalid {
             dir: dir.to_path_buf(),
             reason: format!("no usable snapshot: {}", warnings.join("; ")),
-        })?
+        })?;
+        // A passed-over snapshot is removed once another was picked, so
+        // segments of its epoch are not replayed onto the wrong base.
+        for (path, _) in rejected {
+            io.remove_file(&path).ok();
+        }
+        picked
     };
 
     let mut report = RecoveryReport {

@@ -5,7 +5,8 @@
 //!
 //! - [`inventory`] lists it once and sorts every journal file by kind;
 //! - [`pick_snapshot`] tries the snapshots newest first and returns the
-//!   first that reads back under its own epoch;
+//!   first that reads back under its own epoch — materialized, or only
+//!   verified for a reader that may not need the store;
 //! - [`scan`] walks that epoch's segments from the snapshot's sequence
 //!   number and hands every sealed commit batch to its caller, stopping at
 //!   the first damage.
@@ -15,13 +16,13 @@
 
 use crate::export::ExportedBatch;
 use crate::io::{JournalIo, RealIo};
-use crate::journal::{read_snapshot, Damage, DamageKind, JournalError};
+use crate::journal::{Damage, DamageKind, JournalError, SnapshotMeta};
 use crate::record::{self, Decoded, COMMIT_MARKER};
 use crate::segment::{
     parse_index_name, parse_segment_name, parse_snapshot_name, segment_file_name, SegmentHeader,
     SnapshotFormat, SEGMENT_HEADER_LEN,
 };
-use semex_store::{Store, StoreEvent};
+use semex_store::StoreEvent;
 use std::path::{Path, PathBuf};
 
 /// What a journal file is, by its name.
@@ -128,37 +129,39 @@ pub fn has_journal(dir: &Path) -> bool {
     inventory(&RealIo, dir).is_ok_and(|inv| inv.journal_file().is_some())
 }
 
-/// The snapshot a reader of a journal directory starts from.
-pub(crate) struct Picked {
+/// The snapshot a reader of a journal directory starts from, holding the
+/// `S` its snapshot read produced (the store, or a verified image).
+pub(crate) struct Picked<S> {
     /// Its epoch.
     pub(crate) epoch: u64,
     /// Its on-disk format.
     pub(crate) format: SnapshotFormat,
     /// The sequence number it folds in: where its epoch's log starts.
     pub(crate) base_seq: u64,
-    /// The store image.
-    pub(crate) store: Store,
+    /// What `read` made of the file.
+    pub(crate) store: S,
 }
 
 /// Snapshots a pick passed over: each one's path and the reason.
 pub(crate) type Rejected = Vec<(PathBuf, String)>;
 
 /// Try the inventory's snapshots in order and return the first one that
-/// reads back under its own epoch, plus each candidate passed over before
-/// it, with the reason.
+/// `read` reads back under its own epoch, plus each candidate passed over
+/// before it, with the reason.
 ///
 /// A damaged snapshot (torn section, bad CRC, bad header, a foreign epoch
 /// inside) falls back to the next candidate. Any other error — a hard I/O
 /// failure, which would hit every candidate alike — propagates.
-pub(crate) fn pick_snapshot(
+pub(crate) fn pick_snapshot<S>(
     io: &dyn JournalIo,
     dir: &Path,
     inv: &Inventory,
-) -> Result<(Option<Picked>, Rejected), JournalError> {
+    read: impl Fn(&dyn JournalIo, &Path, SnapshotFormat) -> Result<(SnapshotMeta, S), JournalError>,
+) -> Result<(Option<Picked<S>>, Rejected), JournalError> {
     let mut rejected = Vec::new();
     for &(epoch, format) in &inv.snapshots {
         let path = dir.join(format.file_name(epoch));
-        match read_snapshot(io, &path, format) {
+        match read(io, &path, format) {
             Ok((meta, store)) if meta.epoch == epoch => {
                 let picked = Picked {
                     epoch,

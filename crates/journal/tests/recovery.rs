@@ -385,6 +385,37 @@ fn compaction_folds_journal_and_state_survives() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// A damaged snapshot with no other to fall back to stays on disk: every
+/// open refuses the directory, and none initializes an empty journal in
+/// its place.
+#[test]
+fn a_lone_damaged_snapshot_is_kept_and_every_open_refuses() {
+    let dir = scratch("lone-damaged");
+    let (mut store, mut journal, _) = recover(&dir, config()).unwrap();
+    scenario(&mut store);
+    journal.commit(&mut store).unwrap();
+    journal.compact(&store).unwrap();
+    drop(journal);
+    let snapshot = dir.join(semex_journal::segment::snapshot_file_name(1));
+    let mut bytes = fs::read(&snapshot).unwrap();
+    *bytes.last_mut().unwrap() ^= 0xFF;
+    fs::write(&snapshot, &bytes).unwrap();
+
+    for open in ["first", "second"] {
+        let err = recover(&dir, config()).expect_err("a damaged snapshot");
+        assert!(
+            err.to_string().contains("no usable snapshot"),
+            "{open} open: {err}"
+        );
+        assert_eq!(
+            fs::read(&snapshot).unwrap(),
+            bytes,
+            "{open} open removed the snapshot"
+        );
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn segment_rotation_produces_multiple_segments_and_replays_in_order() {
     let dir = scratch("rotate");

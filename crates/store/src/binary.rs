@@ -749,7 +749,7 @@ impl Store {
         // Objects: per-object records behind a fixed-width offset table.
         let mut obj_records: Vec<u8> = Vec::new();
         let mut obj_offsets: Vec<u32> = Vec::with_capacity(objects.len());
-        for o in objects {
+        for o in objects.iter() {
             obj_offsets.push(u32::try_from(obj_records.len()).expect("objects over 4 GiB"));
             write_varint(u64::from(o.class.0), &mut obj_records);
             write_varint(o.merged_into.map_or(0, |m| m.0 + 1), &mut obj_records);
@@ -774,7 +774,7 @@ impl Store {
         let mut tri_section = Vec::new();
         tri_section.extend_from_slice(&(triples.len() as u32).to_le_bytes());
         let mut prev_subject = 0i64;
-        for t in triples {
+        for t in triples.iter() {
             let s = t.subject.0 as i64;
             write_varint(zigzag(s - prev_subject), &mut tri_section);
             prev_subject = s;
@@ -786,7 +786,7 @@ impl Store {
         // Sources: offset table + name/kind/location.
         let mut src_records: Vec<u8> = Vec::new();
         let mut src_offsets: Vec<u32> = Vec::with_capacity(sources.len());
-        for s in sources {
+        for s in sources.iter() {
             src_offsets.push(u32::try_from(src_records.len()).expect("sources over 4 GiB"));
             write_varint(arena.intern(&s.name), &mut src_records);
             src_records.push(kind_tag(s.kind));
@@ -1067,7 +1067,7 @@ impl<'a> SnapshotReader<'a> {
         }
         // Ids inside records must stay inside the image's tables: a
         // snapshot can never reference objects or sources it does not
-        // define (model ids are validated by `rebuild_indexes` growth).
+        // define, nor classes, attributes or associations its model lacks.
         let nobj = objects.len() as u64;
         let nsrc = sources.len() as u64;
         let nclasses = model.class_count() as u64;

@@ -9,9 +9,10 @@
 //! from — so the user can always trace a fact back to the e-mail, file or
 //! bibliography entry it came from.
 //!
-//! The store maintains forward and inverse adjacency indexes per association
-//! type (browsing is bidirectional), a per-class object index, and supports
-//! *object merging*, the primitive reference reconciliation is built on:
+//! The store keeps forward and inverse adjacency per association type
+//! (browsing is bidirectional) in one edge record per object slot, plus a
+//! per-class object index, and supports *object merging*, the primitive
+//! reference reconciliation is built on:
 //! merging re-points all edges of the losing object to the winner and pools
 //! attributes, while keeping the loser resolvable as an alias.
 //!
@@ -52,7 +53,9 @@
 //! assert_eq!(store.object(ann).strs(name).count(), 2);
 //! ```
 
+mod adjacency;
 pub mod binary;
+mod chunked;
 mod events;
 mod object;
 mod provenance;
@@ -62,6 +65,7 @@ mod store;
 mod triple;
 
 pub use binary::{BinaryError, SnapshotReader};
+pub use chunked::{ChunkVec, CHUNK};
 pub use events::StoreEvent;
 pub use object::{Object, ObjectId};
 pub use provenance::{SourceId, SourceInfo, SourceKind};

@@ -103,9 +103,9 @@ impl Store {
         let snap = Snapshot {
             version: SNAPSHOT_VERSION,
             model: model.clone(),
-            objects: objects.to_vec(),
-            triples: triples.to_vec(),
-            sources: sources.to_vec(),
+            objects: objects.iter().cloned().collect(),
+            triples: triples.iter().cloned().collect(),
+            sources: sources.iter().cloned().collect(),
         };
         Ok(serde_json::to_string(&snap)?)
     }

@@ -1,10 +1,12 @@
 //! The association database proper.
 
+use crate::adjacency::{Dir, EdgeRecord};
 use crate::events::EventLog;
-use crate::{Object, ObjectId, SourceId, SourceInfo, StoreEvent, Triple};
+use crate::{ChunkVec, Object, ObjectId, SourceId, SourceInfo, StoreEvent, Triple};
 use semex_model::{AssocId, AttrId, ClassId, DomainModel, Value};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors raised by store operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,15 +63,24 @@ impl std::error::Error for StoreError {}
 
 /// The association database: objects + association triples + adjacency
 /// indexes, bound to a [`DomainModel`].
+///
+/// Every large field is a [`ChunkVec`] (the model sits behind an `Arc`), so
+/// a clone shares all of the store's chunks with the original and a write
+/// copies only the chunks it lands in: a published snapshot costs O(1) to
+/// take, and the writer pays only for what its batch touches.
 #[derive(Debug, Clone)]
 pub struct Store {
-    model: DomainModel,
-    objects: Vec<Object>,
-    by_class: Vec<Vec<ObjectId>>,
-    triples: Vec<Triple>,
-    forward: Vec<HashMap<ObjectId, Vec<ObjectId>>>,
-    inverse: Vec<HashMap<ObjectId, Vec<ObjectId>>>,
-    sources: Vec<SourceInfo>,
+    model: Arc<DomainModel>,
+    objects: ChunkVec<Object>,
+    by_class: Vec<ChunkVec<ObjectId>>,
+    triples: ChunkVec<Triple>,
+    /// One edge record per object slot: its forward and inverse runs.
+    edges: ChunkVec<EdgeRecord>,
+    /// Distinct live edges per association.
+    assoc_edges: Vec<usize>,
+    /// Distinct live edges in all.
+    edge_total: usize,
+    sources: ChunkVec<SourceInfo>,
     live_objects: usize,
     /// The sequenced event log; it records while enabled (see
     /// [`Store::enable_events`]). Never snapshotted.
@@ -79,19 +90,20 @@ pub struct Store {
 impl Store {
     /// An empty store over the given domain model.
     pub fn new(model: DomainModel) -> Self {
-        let classes = model.class_count();
-        let assocs = model.assoc_count();
-        Store {
-            model,
-            objects: Vec::new(),
-            by_class: vec![Vec::new(); classes],
-            triples: Vec::new(),
-            forward: vec![HashMap::new(); assocs],
-            inverse: vec![HashMap::new(); assocs],
-            sources: Vec::new(),
+        let mut store = Store {
+            model: Arc::new(model),
+            objects: ChunkVec::new(),
+            by_class: Vec::new(),
+            triples: ChunkVec::new(),
+            edges: ChunkVec::new(),
+            assoc_edges: Vec::new(),
+            edge_total: 0,
+            sources: ChunkVec::new(),
             live_objects: 0,
             recorder: EventLog::default(),
-        }
+        };
+        store.grow_indexes();
+        store
     }
 
     /// An empty store over the built-in SEMEX vocabulary.
@@ -105,9 +117,10 @@ impl Store {
     }
 
     /// Extend the domain model in place (the model is malleable; the store
-    /// grows its per-class / per-assoc indexes to match).
+    /// grows its per-class / per-assoc indexes to match). The model is
+    /// copied first if a clone of the store still shares it.
     pub fn model_mut(&mut self) -> &mut DomainModel {
-        &mut self.model
+        Arc::make_mut(&mut self.model)
     }
 
     /// Re-sync index widths after the model gained classes/associations via
@@ -117,26 +130,25 @@ impl Store {
     pub fn sync_model(&mut self) {
         self.grow_indexes();
         if self.recorder.on {
-            let model = self.model.clone();
+            let model = DomainModel::clone(&self.model);
             self.record(StoreEvent::SyncModel { model });
         }
     }
 
     /// Widen the per-class / per-assoc indexes to the model's counts.
     fn grow_indexes(&mut self) {
-        while self.by_class.len() < self.model.class_count() {
-            self.by_class.push(Vec::new());
-        }
-        while self.forward.len() < self.model.assoc_count() {
-            self.forward.push(HashMap::new());
-            self.inverse.push(HashMap::new());
-        }
+        self.by_class.resize_with(
+            self.model.class_count().max(self.by_class.len()),
+            ChunkVec::new,
+        );
+        let assocs = self.model.assoc_count().max(self.assoc_edges.len());
+        self.assoc_edges.resize(assocs, 0);
     }
 
     /// Internal: swap in a replacement model (journal replay of
     /// [`StoreEvent::SyncModel`]) and widen the indexes to match.
     pub(crate) fn replace_model(&mut self, model: DomainModel) {
-        self.model = model;
+        self.model = Arc::new(model);
         self.grow_indexes();
     }
 
@@ -176,6 +188,7 @@ impl Store {
     pub fn add_object(&mut self, class: ClassId) -> ObjectId {
         let id = ObjectId(self.objects.len() as u64);
         self.objects.push(Object::new(class));
+        self.edges.push(EdgeRecord::default());
         self.by_class[class.index()].push(id);
         self.live_objects += 1;
         self.record(StoreEvent::AddObject { class });
@@ -204,7 +217,6 @@ impl Store {
     pub fn class_of(&self, id: ObjectId) -> ClassId {
         self.object(id).class
     }
-
     /// Add an attribute value (validated against the model's value kind).
     /// Returns true if the value was new.
     pub fn add_attr(
@@ -355,15 +367,9 @@ impl Store {
         if self.objects[object.index()].class != def.range {
             return Err(StoreError::ClassMismatch { assoc, object });
         }
-        let fwd = self.forward[assoc.index()].entry(subject).or_default();
-        if fwd.contains(&object) {
+        if !self.link(subject, assoc, object) {
             return Ok(false);
         }
-        fwd.push(object);
-        self.inverse[assoc.index()]
-            .entry(object)
-            .or_default()
-            .push(subject);
         self.triples
             .push(Triple::new(subject, assoc, object, source));
         self.record(StoreEvent::AddTriple {
@@ -375,22 +381,39 @@ impl Store {
         Ok(true)
     }
 
+    /// Add the live edge `subject --assoc--> object` to both endpoints'
+    /// records and the counts; false when it is already there.
+    fn link(&mut self, subject: ObjectId, assoc: AssocId, object: ObjectId) -> bool {
+        if !self.edges[subject.index()].insert(assoc, Dir::Out, object) {
+            return false;
+        }
+        self.edges[object.index()].insert(assoc, Dir::In, subject);
+        self.count_edges(assoc, 1);
+        true
+    }
+
+    /// Adjust the live edge counts of `assoc` by `delta`.
+    fn count_edges(&mut self, assoc: AssocId, delta: isize) {
+        let n = &mut self.assoc_edges[assoc.index()];
+        *n = n
+            .checked_add_signed(delta)
+            .expect("edge counts never go negative");
+        self.edge_total = self
+            .edge_total
+            .checked_add_signed(delta)
+            .expect("edge counts never go negative");
+    }
+
     /// Objects reachable from `subject` over `assoc` (forward direction).
     pub fn neighbors(&self, subject: ObjectId, assoc: AssocId) -> &[ObjectId] {
         let subject = self.resolve(subject);
-        self.forward[assoc.index()]
-            .get(&subject)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.edges[subject.index()].run(assoc, Dir::Out)
     }
 
     /// Subjects pointing at `object` over `assoc` (inverse direction).
     pub fn inverse_neighbors(&self, object: ObjectId, assoc: AssocId) -> &[ObjectId] {
         let object = self.resolve(object);
-        self.inverse[assoc.index()]
-            .get(&object)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.edges[object.index()].run(assoc, Dir::In)
     }
 
     /// All triples, with subject/object resolved through merges. The same
@@ -405,20 +428,18 @@ impl Store {
     }
 
     /// Raw triples as extracted (pre-merge ids), for provenance.
-    pub fn triples_raw(&self) -> &[Triple] {
+    pub fn triples_raw(&self) -> &ChunkVec<Triple> {
         &self.triples
     }
 
-    /// Number of distinct live edges of an association type.
+    /// Number of distinct live edges of an association type. O(1).
     pub fn assoc_count(&self, assoc: AssocId) -> usize {
-        self.forward[assoc.index()].values().map(Vec::len).sum()
+        self.assoc_edges[assoc.index()]
     }
 
-    /// Total number of distinct live edges.
+    /// Total number of distinct live edges. O(1).
     pub fn edge_count(&self) -> usize {
-        (0..self.forward.len())
-            .map(|i| self.assoc_count(AssocId(i as u16)))
-            .sum()
+        self.edge_total
     }
 
     // ------------------------------------------------------------------
@@ -427,7 +448,8 @@ impl Store {
 
     /// Merge `loser` into `winner`: pool attributes and provenance, re-point
     /// every edge of `loser` to `winner` (deduplicating), and leave `loser`
-    /// behind as an alias so stale ids keep resolving.
+    /// behind as an alias so stale ids keep resolving. Touches the edge
+    /// records of the loser and of its neighbours only.
     pub fn merge(&mut self, winner: ObjectId, loser: ObjectId) -> Result<(), StoreError> {
         let winner = self.resolve(winner);
         let loser = self.resolve(loser);
@@ -439,46 +461,39 @@ impl Store {
         }
 
         // Pool attributes and sources.
-        let attrs = std::mem::take(&mut self.objects[loser.index()].attrs);
-        let sources = std::mem::take(&mut self.objects[loser.index()].sources);
+        let taken = &mut self.objects[loser.index()];
+        let attrs = std::mem::take(&mut taken.attrs);
+        let sources = std::mem::take(&mut taken.sources);
+        let kept = &mut self.objects[winner.index()];
         for (a, v) in attrs {
-            self.objects[winner.index()].add_attr(a, v);
+            kept.add_attr(a, v);
         }
         for s in sources {
-            self.objects[winner.index()].add_source(s);
+            kept.add_source(s);
         }
 
         // Re-point adjacency, association type by association type.
-        for ai in 0..self.forward.len() {
+        for assoc in self.edges[loser.index()].assocs() {
             // Outgoing edges of the loser.
-            if let Some(outs) = self.forward[ai].remove(&loser) {
-                for target in outs {
-                    let target = self.resolve(target);
-                    let wins = self.forward[ai].entry(winner).or_default();
-                    if !wins.contains(&target) {
-                        wins.push(target);
-                    }
-                    let inc = self.inverse[ai].entry(target).or_default();
-                    inc.retain(|s| *s != loser);
-                    if !inc.contains(&winner) {
-                        inc.push(winner);
-                    }
+            let outs = self.edges[loser.index()].take(assoc, Dir::Out);
+            self.count_edges(assoc, -(outs.len() as isize));
+            for target in outs {
+                let target = self.resolve(target);
+                if self.edges[winner.index()].insert(assoc, Dir::Out, target) {
+                    self.count_edges(assoc, 1);
                 }
+                let inc = &mut self.edges[target.index()];
+                inc.remove(assoc, Dir::In, loser);
+                inc.insert(assoc, Dir::In, winner);
             }
             // Incoming edges of the loser.
-            if let Some(ins) = self.inverse[ai].remove(&loser) {
-                for src in ins {
-                    let src = self.resolve(src);
-                    let outs = self.forward[ai].entry(src).or_default();
-                    outs.retain(|o| *o != loser);
-                    if !outs.contains(&winner) {
-                        outs.push(winner);
-                    }
-                    let winc = self.inverse[ai].entry(winner).or_default();
-                    if !winc.contains(&src) {
-                        winc.push(src);
-                    }
-                }
+            for src in self.edges[loser.index()].take(assoc, Dir::In) {
+                let src = self.resolve(src);
+                let outs = &mut self.edges[src.index()];
+                let removed = outs.remove(assoc, Dir::Out, loser);
+                let added = outs.insert(assoc, Dir::Out, winner);
+                self.count_edges(assoc, isize::from(added) - isize::from(removed));
+                self.edges[winner.index()].insert(assoc, Dir::In, src);
             }
         }
 
@@ -517,84 +532,71 @@ impl Store {
     /// After heavy reconciliation roughly a third of the slots are aliases;
     /// compaction shrinks snapshots accordingly.
     pub fn compacted(&self) -> (Store, HashMap<ObjectId, ObjectId>) {
-        let mut new_store = Store::new(self.model.clone());
-        for info in &self.sources {
+        let mut new_store = Store::new(self.model().clone());
+        for (_, info) in self.sources() {
             new_store.register_source(info.clone());
         }
         let mut mapping: HashMap<ObjectId, ObjectId> = HashMap::new();
         for old_id in self.objects() {
             let obj = self.object(old_id);
             let new_id = new_store.add_object(obj.class);
-            new_store.objects[new_id.index()].attrs = obj.attrs.clone();
-            new_store.objects[new_id.index()].sources = obj.sources.clone();
+            let new_obj = &mut new_store.objects[new_id.index()];
+            new_obj.attrs = obj.attrs.clone();
+            new_obj.sources = obj.sources.clone();
             mapping.insert(old_id, new_id);
         }
-        for t in &self.triples {
+        for t in self.triples.iter() {
             let s = mapping[&self.resolve(t.subject)];
             let o = mapping[&self.resolve(t.object)];
-            let fwd = new_store.forward[t.assoc.index()].entry(s).or_default();
-            if !fwd.contains(&o) {
-                fwd.push(o);
-                new_store.inverse[t.assoc.index()]
-                    .entry(o)
-                    .or_default()
-                    .push(s);
+            if new_store.link(s, t.assoc, o) {
                 new_store.triples.push(Triple::new(s, t.assoc, o, t.source));
             }
         }
         (new_store, mapping)
     }
 
-    /// Internal: rebuild adjacency from the raw triples (used by snapshot
-    /// loading). Assumes `objects` and `triples` are already populated.
-    pub(crate) fn rebuild_indexes(&mut self) {
-        self.by_class = vec![Vec::new(); self.model.class_count()];
-        self.forward = vec![HashMap::new(); self.model.assoc_count()];
-        self.inverse = vec![HashMap::new(); self.model.assoc_count()];
-        self.live_objects = 0;
-        for (i, obj) in self.objects.iter().enumerate() {
-            self.by_class[obj.class.index()].push(ObjectId(i as u64));
-            if !obj.is_alias() {
-                self.live_objects += 1;
-            }
-        }
-        let triples = std::mem::take(&mut self.triples);
-        for t in &triples {
-            let s = self.resolve(t.subject);
-            let o = self.resolve(t.object);
-            let fwd = self.forward[t.assoc.index()].entry(s).or_default();
-            if !fwd.contains(&o) {
-                fwd.push(o);
-                self.inverse[t.assoc.index()].entry(o).or_default().push(s);
-            }
-        }
-        self.triples = triples;
-    }
-
     /// Internal accessors for snapshotting.
-    pub(crate) fn parts(&self) -> (&DomainModel, &[Object], &[Triple], &[SourceInfo]) {
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn parts(
+        &self,
+    ) -> (
+        &DomainModel,
+        &ChunkVec<Object>,
+        &ChunkVec<Triple>,
+        &ChunkVec<SourceInfo>,
+    ) {
         (&self.model, &self.objects, &self.triples, &self.sources)
     }
 
-    /// Internal constructor for snapshot loading.
+    /// Internal constructor for snapshot loading: rebuilds the per-class
+    /// index, the edge records and the counts from the objects and the raw
+    /// triples.
     pub(crate) fn from_parts(
         model: DomainModel,
         objects: Vec<Object>,
         triples: Vec<Triple>,
         sources: Vec<SourceInfo>,
     ) -> Self {
-        let mut s = Store {
-            model,
-            objects,
-            by_class: Vec::new(),
-            triples,
-            forward: Vec::new(),
-            inverse: Vec::new(),
-            sources,
-            live_objects: 0,
-            recorder: EventLog::default(),
-        };
-        s.rebuild_indexes();
+        let mut s = Store::new(model);
+        let mut by_class = vec![Vec::new(); s.by_class.len()];
+        for (i, obj) in objects.iter().enumerate() {
+            by_class[obj.class.index()].push(ObjectId(i as u64));
+        }
+        s.by_class = by_class.into_iter().map(ChunkVec::from_iter).collect();
+        s.live_objects = objects.iter().filter(|o| !o.is_alias()).count();
+        let mut edges = vec![EdgeRecord::default(); objects.len()];
+        s.objects = objects.into_iter().collect();
+        s.sources = sources.into_iter().collect();
+        for t in &triples {
+            let subject = s.resolve(t.subject);
+            let object = s.resolve(t.object);
+            if edges[subject.index()].insert(t.assoc, Dir::Out, object) {
+                edges[object.index()].insert(t.assoc, Dir::In, subject);
+                s.count_edges(t.assoc, 1);
+            }
+        }
+        s.edges = edges.into_iter().collect();
+        s.triples = triples.into_iter().collect();
         s
     }
 }

@@ -2,8 +2,11 @@
 //! snapshots, never against the live master.
 //!
 //! The servicing writer is the only publisher. After applying a write batch
-//! it clones the master's state into a [`Snapshot`](semex_core::Snapshot),
-//! tags it with its epoch, and swaps it in behind an `Arc`.
+//! it takes a [`Snapshot`](semex_core::Snapshot) of the master — a
+//! copy-on-write clone that copies a root pointer per chunked field, so
+//! taking it costs O(1), not O(space), and the next batch copies only the
+//! chunks it touches — tags it with its epoch, and swaps it in behind an
+//! `Arc`.
 //! Reader threads grab the current `Arc` under a briefly-held read lock and
 //! then query entirely lock-free: a reader holding epoch N keeps a
 //! consistent view of the whole platform (store *and* index) no matter how
@@ -74,12 +77,19 @@ impl SnapshotEngine {
     /// Swap in a new state, returning its epoch. In-flight readers keep
     /// their old epoch alive until they drop it. Publishing an unchanged
     /// state republishes the same epoch.
+    ///
+    /// The replaced state is dropped after the write lock is released:
+    /// when no reader holds it, dropping it frees every chunk the new state
+    /// no longer shares, and no `load` should wait on that.
     pub fn publish(&self, snap: Snapshot) -> u64 {
-        let next = EpochSnapshot::of(snap);
+        let next = Arc::new(EpochSnapshot::of(snap));
         let epoch = next.epoch;
-        let mut current = self.current.write().expect("snapshot lock poisoned");
-        debug_assert!(epoch >= current.epoch, "epochs never regress");
-        *current = Arc::new(next);
+        let replaced = {
+            let mut current = self.current.write().expect("snapshot lock poisoned");
+            debug_assert!(epoch >= current.epoch, "epochs never regress");
+            std::mem::replace(&mut *current, next)
+        };
+        drop(replaced);
         epoch
     }
 }

@@ -96,7 +96,10 @@ impl fmt::Debug for PoolConfig {
 }
 
 /// Estimate one resident tenant's heap footprint in bytes, master plus its
-/// currently published snapshot (the per-item constants fold the ×2 in).
+/// currently published snapshot. The per-item constants were sized for a
+/// snapshot that deep-copied the master; a published snapshot now shares
+/// every chunk the master has not written since, so the estimate is a
+/// conservative upper bound.
 ///
 /// There is no allocator hook, so this is deliberately a coarse model over
 /// store and index cardinalities — good enough to *bound* the resident set,

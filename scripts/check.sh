@@ -34,13 +34,16 @@ echo "==> incremental reconciliation equivalence (persistent state vs the"
 echo "    rebuild-and-filter oracle over random write sequences at every variant"
 echo "    and thread count, probe blocking vs filtered all-pairs, the platform vs"
 echo "    fresh-state twins with index batching on and off, scale-independent"
-echo "    examined counts, and one publish path for store events: local writes"
+echo "    examined counts, one publish path for store events: local writes"
 echo "    with batching on and off, replicated apply and recovery on a sidecar"
-echo "    leave the same store, index and reconciliation state)"
+echo "    leave the same store, index and reconciliation state; and copy-on-write"
+echo "    isolation: every earlier snapshot keeps its images and answers while"
+echo "    the master writes, merges, extends its model and compacts its index)"
 cargo test -q -p semex-recon --lib state::tests
 cargo test -q --test incremental_state_prop
 cargo test -q --test incremental_recon
 cargo test -q --test publish_equiv
+cargo test -q --test snapshot_cow_prop
 
 echo "==> index equivalence suite (parallel/incremental/pruned vs oracle)"
 cargo test -q -p semex-index --test index_equiv_prop
