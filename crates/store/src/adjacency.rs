@@ -32,18 +32,22 @@ fn header(key: u64, len: usize) -> ObjectId {
 }
 
 impl EdgeRecord {
+    /// `(key, header position, run length)` of every run, in record order.
+    fn runs(&self) -> impl Iterator<Item = (u64, usize, usize)> + '_ {
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            let h = self.words.get(at)?.0;
+            let run = (h >> 32, at, (h & u64::from(u32::MAX)) as usize);
+            at += 1 + run.2;
+            Some(run)
+        })
+    }
+
     /// `(header position, run length)` of a run.
     fn find(&self, key: u64) -> Option<(usize, usize)> {
-        let mut at = 0;
-        while at < self.words.len() {
-            let h = self.words[at].0;
-            let len = (h & u64::from(u32::MAX)) as usize;
-            if h >> 32 == key {
-                return Some((at, len));
-            }
-            at += 1 + len;
-        }
-        None
+        self.runs()
+            .find(|&(k, _, _)| k == key)
+            .map(|(_, at, len)| (at, len))
     }
 
     /// The neighbours over `assoc` in direction `dir`.
@@ -112,13 +116,10 @@ impl EdgeRecord {
     /// The associations the slot has edges over, in either direction,
     /// ascending.
     pub(crate) fn assocs(&self) -> Vec<AssocId> {
-        let mut out = Vec::new();
-        let mut at = 0;
-        while at < self.words.len() {
-            let h = self.words[at].0;
-            out.push(AssocId((h >> 33) as u16));
-            at += 1 + (h & u64::from(u32::MAX)) as usize;
-        }
+        let mut out: Vec<AssocId> = self
+            .runs()
+            .map(|(k, _, _)| AssocId((k >> 1) as u16))
+            .collect();
         out.sort_unstable();
         out.dedup();
         out
